@@ -22,7 +22,7 @@ import sys
 from typing import Sequence
 
 from .catalog import DEFAULT_ZARISKI_SIZE, run_classification
-from .core import FiniteOmegaGroup, as_ring, validate_algebra
+from .core import MAX_ARITY, FiniteOmegaGroup, as_ring, validate_algebra
 from .domains import (
     WitnessedVerdict,
     group_zero_divisor_sets,
@@ -119,6 +119,8 @@ def parse_algebra_file(text: str) -> FiniteOmegaGroup:
         if parts[0] != "op" or len(parts) != 3 or not parts[2].isdigit():
             raise ParseError(f"line {lineno}: expected 'op <name> <arity>'")
         op_name, arity = parts[1], int(parts[2])
+        if not 1 <= arity <= MAX_ARITY:
+            raise ParseError(f"line {lineno}: arity {arity} outside 1..{MAX_ARITY}")
         rows = size ** (arity - 1)
         table: list[int] = []
         for _ in range(rows):

@@ -1,59 +1,133 @@
 """Fixed-point closure operators: generated subgroups, ideals, commutator groups.
 
-Subsets of the carrier are plain frozensets of indices.  All closures use
-deterministic worklists (ascending element order, operations in signature
-order) so results are reproducible bit for bit.  Each pass only pairs the
-newly added frontier against the accumulated set, which keeps the total work
-proportional to the number of distinct tuples ever formed.
+A subset of the carrier is held as a boolean membership mask while it grows,
+and every rule reads the algebra's array view (``FiniteOmegaGroup.arrays``).
+One step function, ``_step``, yields everything the closure rules form from
+a frontier F of a member set S: -F, F + S and S + F, conjugates of F by the
+ambient, each extra operation on the S-tuples that use an element of F, and
+the omega-commutators -w(a) - w(b) + w(a + b) of those tuples against
+ambient tuples.  The closures iterate it semi-naively (each tuple is formed
+once, in the step after its last element joined); the membership tests are
+"one step from S adds nothing"; the enumerations collect the closures
+reached from {0} by adding one element at a time.
+
+Tuples are formed on demand, never as full tables: a Cartesian product of
+index arrays is walked in row-major order in blocks of at most BLOCK
+entries, so ternary operations and large carriers take the same path.  The
+commutator triviality scan walks the same blocks starting from a few dozen
+entries, group commutators first, then each operation in signature order,
+lexicographic in (a-tuple, b-tuple), and reports the first nonzero one.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from math import prod
 from typing import Iterable, Iterator
 
-from .core import FiniteOmegaGroup
+import numpy as np
+
+from .core import FiniteOmegaGroup, TableArrays
 from .errors import NotASubgroupError, NotContainedError, TooLargeError
 
-ENUMERATION_LIMIT = 16  # 2^n subset scans beyond this are refused
+ENUMERATION_LIMIT = 16  # enumerations over more elements are refused
+BLOCK = 1 << 16  # entries per on-demand block of tuples
+FIRST_SCAN_BLOCK = 64  # the triviality scan starts small so it can exit early
 
 
-def _omega_commutator(algebra, table, a_tuple, b_tuple) -> int:
-    wa = table.table[table.flat_index(a_tuple, algebra.size)]
-    wb = table.table[table.flat_index(b_tuple, algebra.size)]
-    summed = tuple(algebra.add_of(x, y) for x, y in zip(a_tuple, b_tuple))
-    wab = table.table[table.flat_index(summed, algebra.size)]
-    return algebra.add_of(algebra.add_of(algebra.neg_of(wa), algebra.neg_of(wb)), wab)
+def _product(axes: list[np.ndarray], first: int | None = None) -> Iterator[list[np.ndarray]]:
+    """Row-major tuples of axes[0] x axes[1] x ..., one index array per axis.
+
+    Blocks start at `first` tuples (default BLOCK) and grow fourfold to BLOCK.
+    """
+    sizes = tuple(len(axis) for axis in axes)
+    total = prod(sizes)
+    start, step = 0, min(first or BLOCK, BLOCK)
+    while start < total:
+        digits = np.unravel_index(np.arange(start, min(start + step, total)), sizes)
+        yield [axis[digit] for axis, digit in zip(axes, digits)]
+        start += step
+        step = min(4 * step, BLOCK)
 
 
-def _tuples_touching(frontier: list[int], older: list[int], arity: int) -> Iterator[tuple]:
-    """All arity-tuples over frontier+older that use at least one frontier element."""
-    everything = sorted(set(frontier) | set(older))
-    frontier_set = set(frontier)
-    for combo in iproduct(everything, repeat=arity):
-        if any(x in frontier_set for x in combo):
-            yield combo
+def _omega_commutators(view: TableArrays, op: np.ndarray, a_axes, b_axes, first=None):
+    """(tuple columns, -w(a) - w(b) + w(a + b)) blocks over a_axes x b_axes."""
+    add, neg = view.add, view.neg
+    for columns in _product(a_axes + b_axes, first):
+        a, b = columns[: op.ndim], columns[op.ndim :]
+        summed = tuple(add[x, y] for x, y in zip(a, b))
+        yield columns, add[add[neg[op[tuple(a)]], neg[op[tuple(b)]]], op[summed]]
+
+
+def _step(
+    view: TableArrays,
+    mask: np.ndarray,
+    fresh: np.ndarray,
+    ambient: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Blocks of the values one closure step forms from the frontier.
+
+    `mask` marks the members S and `fresh` the frontier F within them.
+    Without an ambient these are the subgroup rules; with one, conjugation by
+    the ambient and omega-commutators against ambient tuples join them.  An
+    arity-k tuple touching the frontier is split by the position j of its
+    first frontier element: older members before j, any member after it.
+    """
+    add, neg = view.add, view.neg
+    members, frontier = np.flatnonzero(mask), np.flatnonzero(fresh)
+    older = np.flatnonzero(mask & ~fresh)
+    yield neg[frontier]
+    for axes in ([frontier, members], [members, frontier]):
+        for x, y in _product(axes):
+            yield add[x, y]
+    if ambient is not None:
+        for u, p in _product([frontier, ambient]):
+            yield add[add[neg[p], u], p]
+    for op in view.ops:
+        k = op.ndim
+        for j in range(k):
+            a_axes = [older] * j + [frontier] + [members] * (k - 1 - j)
+            for columns in _product(a_axes):
+                yield op[tuple(columns)]
+            if ambient is not None:
+                for _, values in _omega_commutators(view, op, a_axes, [ambient] * k):
+                    yield values
+
+
+def _indices(subset: Iterable[int]) -> np.ndarray:
+    return np.array(sorted(subset), dtype=np.intp)
+
+
+def _mask(view: TableArrays, subset: Iterable[int]) -> np.ndarray:
+    mask = np.zeros(len(view.neg), dtype=bool)
+    mask[_indices(subset)] = True
+    return mask
+
+
+def _adds_nothing(view: TableArrays, subset, ambient: np.ndarray | None = None) -> bool:
+    mask = _mask(view, subset)
+    return all(mask[values].all() for values in _step(view, mask, mask, ambient))
+
+
+def _close(view: TableArrays, seed, ambient: np.ndarray | None, limit: int) -> frozenset[int]:
+    """Least superset of seed + {0} closed under the step; stops at `limit` members."""
+    mask = _mask(view, seed)
+    mask[0] = True
+    fresh = mask.copy()
+    while fresh.any() and np.count_nonzero(mask) < limit:
+        before = mask.copy()
+        for values in _step(view, before, fresh, ambient):
+            mask[values] = True
+            if np.count_nonzero(mask) == limit:  # the whole ambient: nothing can join
+                break
+        fresh = mask & ~before
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def is_omega_subgroup(algebra: FiniteOmegaGroup, subset: frozenset[int]) -> bool:
     """Contains 0 and closed under add, neg, and every extra operation."""
     if 0 not in subset:
         return False
-    n = algebra.size
-    add_t, neg_t = algebra.add, algebra.neg
-    members = sorted(subset)
-    for a in members:
-        if neg_t[a] not in subset:
-            return False
-        row = a * n
-        for b in members:
-            if add_t[row + b] not in subset:
-                return False
-    for table in algebra.omega:
-        for args in iproduct(members, repeat=table.arity):
-            if table.table[table.flat_index(args, n)] not in subset:
-                return False
-    return True
+    return _adds_nothing(algebra.arrays, subset)
 
 
 def is_ideal(
@@ -67,65 +141,17 @@ def is_ideal(
     group of the ambient, and absorption of omega-commutators whose second
     tuple ranges over the ambient.
     """
-    amb = sorted(ambient) if ambient is not None else list(algebra.elements)
-    if not subset <= set(amb) or 0 not in subset:
+    amb = _indices(ambient) if ambient is not None else np.arange(algebra.size)
+    if not subset <= set(amb.tolist()) or 0 not in subset:
         return False
-    n = algebra.size
-    members = sorted(subset)
-    for a in members:
-        if algebra.neg_of(a) not in subset:
-            return False
-        for b in members:
-            if algebra.add_of(a, b) not in subset:
-                return False
-    for u in members:
-        for p in amb:
-            if algebra.conjugate(u, p) not in subset:
-                return False
-    for table in algebra.omega:
-        for args in iproduct(members, repeat=table.arity):
-            if table.table[table.flat_index(args, n)] not in subset:
-                return False
-        for a_tuple in iproduct(members, repeat=table.arity):
-            for b_tuple in iproduct(amb, repeat=table.arity):
-                if _omega_commutator(algebra, table, a_tuple, b_tuple) not in subset:
-                    return False
-    return True
+    return _adds_nothing(algebra.arrays, subset, amb)
 
 
 def omega_subgroup_closure(
     algebra: FiniteOmegaGroup, seed: Iterable[int]
 ) -> frozenset[int]:
     """Least subgroup containing the seed and closed under all operations."""
-    n = algebra.size
-    add_t, neg_t = algebra.add, algebra.neg
-    current: set[int] = {0} | set(seed)
-    frontier = sorted(current)
-    older: list[int] = []
-    while frontier:
-        if len(current) == n:
-            return frozenset(current)  # cannot grow past the carrier
-        new: set[int] = set()
-
-        def consider(v: int):
-            if v not in current:
-                new.add(v)
-
-        for a in frontier:
-            consider(neg_t[a])
-        members = sorted(current)
-        for a in frontier:
-            row = a * n
-            for b in members:
-                consider(add_t[row + b])
-                consider(add_t[b * n + a])
-        for table in algebra.omega:
-            for args in _tuples_touching(frontier, older, table.arity):
-                consider(table.table[table.flat_index(args, n)])
-        older = members
-        current |= new
-        frontier = sorted(new)
-    return frozenset(current)
+    return _close(algebra.arrays, seed, None, algebra.size)
 
 
 def ideal_closure(
@@ -149,46 +175,24 @@ def ideal_closure(
     seed_set = set(seed)
     if not seed_set <= amb_set:
         raise NotContainedError("seed must lie inside the ambient subgroup")
+    return _close(algebra.arrays, seed_set, _indices(amb_set), len(amb_set))
 
-    n = algebra.size
-    add_t, neg_t = algebra.add, algebra.neg
-    amb = sorted(amb_set)
-    amb_tuples = {
-        table.name: list(iproduct(amb, repeat=table.arity)) for table in algebra.omega
-    }
-    current: set[int] = {0} | seed_set
-    frontier = sorted(current)
-    older: list[int] = []
-    while frontier:
-        if len(current) == len(amb):
-            return frozenset(current)  # the ambient is itself an ideal
-        new: set[int] = set()
 
-        def consider(v: int):
-            if v not in current:
-                new.add(v)
+def _commutator_generators(algebra: FiniteOmegaGroup, a_set, b_set, first=None):
+    """Blocks of (operation name or None, tuple columns, generator values).
 
-        for a in frontier:
-            consider(neg_t[a])
-        members = sorted(current)
-        for a in frontier:
-            row = a * n
-            for b in members:
-                consider(add_t[row + b])
-                consider(add_t[b * n + a])
-        for u in frontier:
-            for p in amb:
-                consider(add_t[add_t[neg_t[p] * n + u] * n + p])
-        for table in algebra.omega:
-            for args in _tuples_touching(frontier, older, table.arity):
-                consider(table.table[table.flat_index(args, n)])
-            for a_tuple in _tuples_touching(frontier, older, table.arity):
-                for b_tuple in amb_tuples[table.name]:
-                    consider(_omega_commutator(algebra, table, a_tuple, b_tuple))
-        older = members
-        current |= new
-        frontier = sorted(new)
-    return frozenset(current)
+    Group commutators -a - b + a + b over a x b come first (name None), then
+    each operation's omega-commutators over a-tuples x b-tuples; all in
+    row-major order.
+    """
+    view = algebra.arrays
+    add, neg = view.add, view.neg
+    a, b = _indices(a_set), _indices(b_set)
+    for x, y in _product([a, b], first):
+        yield None, (x, y), add[add[add[neg[x], neg[y]], x], y]
+    for table, op in zip(algebra.omega, view.ops):
+        for columns, values in _omega_commutators(view, op, [a] * op.ndim, [b] * op.ndim, first):
+            yield table.name, columns, values
 
 
 def commutator_group(
@@ -199,8 +203,10 @@ def commutator_group(
     if not is_omega_subgroup(algebra, a_set) or not is_omega_subgroup(algebra, b_set):
         raise NotASubgroupError("commutator_group expects closed subgroups")
     ambient = omega_subgroup_closure(algebra, a_set | b_set)
-    gens = set(v for _, v in _described_commutator_generators(algebra, a_set, b_set))
-    return ideal_closure(algebra, ambient, gens)
+    gens = np.zeros(algebra.size, dtype=bool)
+    for _, _, values in _commutator_generators(algebra, a_set, b_set):
+        gens[values] = True
+    return ideal_closure(algebra, ambient, np.flatnonzero(gens).tolist())
 
 
 def commutator_group_is_trivial(
@@ -210,72 +216,65 @@ def commutator_group_is_trivial(
 
     The generated ideal is trivial exactly when every generator is already 0,
     so no closure needs to be built.  Returns (verdict, first nonzero
-    generator descriptor or None); the scan order is deterministic.
+    generator descriptor or None): ("commutator", a, b) or
+    ("omega-commutator", name, a_tuple, b_tuple), in the scan order of the
+    module docstring.
     """
     if not is_omega_subgroup(algebra, a_set) or not is_omega_subgroup(algebra, b_set):
         raise NotASubgroupError("commutator test expects closed subgroups")
-    for desc, value in _described_commutator_generators(algebra, a_set, b_set):
-        if value != 0:
-            return False, desc
+    scan = _commutator_generators(algebra, a_set, b_set, FIRST_SCAN_BLOCK)
+    for name, columns, values in scan:
+        hits = np.flatnonzero(values)
+        if hits.size:
+            picked = [int(column[hits[0]]) for column in columns]
+            if name is None:
+                return False, ("commutator", *picked)
+            k = len(picked) // 2
+            return False, ("omega-commutator", name, tuple(picked[:k]), tuple(picked[k:]))
     return True, None
 
 
-def _described_commutator_generators(algebra, a_set, b_set):
-    """Generators of the commutator group, each tagged with how it was formed.
+def _closed_sets(
+    view: TableArrays, elements: list[int], ambient: np.ndarray | None
+) -> list[frozenset[int]]:
+    """Every closure of a subset of elements, in ascending bitmask order over them.
 
-    Order: group commutators lexicographic in (a, b), then per operation,
-    lexicographic in (a-tuple, b-tuple).
+    Each is reached from {0} by adding one of its elements at a time, so this
+    takes (closed sets) x (elements) closures, not 2^n subset tests.
     """
-    a_sorted = sorted(a_set)
-    b_sorted = sorted(b_set)
-    for a in a_sorted:
-        for b in b_sorted:
-            yield ("commutator", a, b), algebra.group_commutator(a, b)
-    for table in algebra.omega:
-        for a_tuple in iproduct(a_sorted, repeat=table.arity):
-            for b_tuple in iproduct(b_sorted, repeat=table.arity):
-                yield (
-                    ("omega-commutator", table.name, a_tuple, b_tuple),
-                    _omega_commutator(algebra, table, a_tuple, b_tuple),
-                )
+    k = len(elements)
+    if k > ENUMERATION_LIMIT:
+        raise TooLargeError(f"enumeration over {k} elements exceeds {ENUMERATION_LIMIT}")
+    found = {frozenset({0})}
+    todo = list(found)
+    while todo:
+        current = todo.pop()
+        for x in elements:
+            if x not in current:
+                bigger = _close(view, current | {x}, ambient, k)
+                if bigger not in found:
+                    found.add(bigger)
+                    todo.append(bigger)
+    bit = {x: 1 << i for i, x in enumerate(elements)}
+    return sorted(found, key=lambda closed: sum(bit[x] for x in closed))
 
 
 def enumerate_ideals(
     algebra: FiniteOmegaGroup, ambient: frozenset[int] | None = None
 ) -> list[frozenset[int]]:
-    """All ideals of the ambient subgroup, by exhaustive subset scan.
-
-    Subsets appear in ascending bitmask order over the ambient's sorted
-    elements.  Guarded to ambients of at most ENUMERATION_LIMIT elements.
+    """All ideals of the ambient subgroup, in ascending bitmask order over the
+    ambient's sorted elements.  Guarded to ambients of at most
+    ENUMERATION_LIMIT elements.
     """
     if ambient is not None and not is_omega_subgroup(algebra, frozenset(ambient)):
         raise NotASubgroupError("ambient is not a closed subgroup")
     amb = sorted(ambient) if ambient is not None else list(algebra.elements)
-    k = len(amb)
-    if k > ENUMERATION_LIMIT:
-        raise TooLargeError(f"subset scan over {k} elements exceeds {ENUMERATION_LIMIT}")
-    ambient_set = frozenset(amb)
-    out = []
-    for mask in range(1 << k):
-        subset = frozenset(amb[i] for i in range(k) if mask >> i & 1)
-        if 0 not in subset:
-            continue
-        if is_ideal(algebra, subset, ambient_set):
-            out.append(subset)
-    return out
+    return _closed_sets(algebra.arrays, amb, _indices(amb))
 
 
 def enumerate_omega_subgroups(algebra: FiniteOmegaGroup) -> list[frozenset[int]]:
-    """All closed subgroups, by exhaustive subset scan (same guard as ideals)."""
-    n = algebra.size
-    if n > ENUMERATION_LIMIT:
-        raise TooLargeError(f"subset scan over {n} elements exceeds {ENUMERATION_LIMIT}")
-    out = []
-    for mask in range(1, 1 << n, 2):  # must contain element 0
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        if is_omega_subgroup(algebra, subset):
-            out.append(subset)
-    return out
+    """All closed subgroups, in ascending bitmask order (same guard as ideals)."""
+    return _closed_sets(algebra.arrays, list(algebra.elements), None)
 
 
 def generated_subgroup(algebra: FiniteOmegaGroup, element: int) -> frozenset[int]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     ArityMismatchError,
@@ -40,6 +42,24 @@ class OperationTable:
         return idx
 
 
+class TableArrays(NamedTuple):
+    """Read-only intp arrays of an algebra's tables, for vectorized lookups.
+
+    add[a, b] is a + b, neg[a] is -a, and ops[i][x1, ..., xk] applies the
+    i-th extra operation (signature order) to a k-tuple.
+    """
+
+    add: np.ndarray
+    neg: np.ndarray
+    ops: tuple[np.ndarray, ...]
+
+
+def _read_only(values: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
+    array = np.array(values, dtype=np.intp).reshape(shape)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class FiniteOmegaGroup:
     """Validated finite multioperator group; immutable after construction."""
@@ -51,9 +71,28 @@ class FiniteOmegaGroup:
     omega: tuple[OperationTable, ...]
     kind: str = "raw"
     _ops: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    _arrays: TableArrays | None = field(default=None, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_ops", {op.name: op for op in self.omega})
+
+    @property
+    def arrays(self) -> TableArrays:
+        """The tables as arrays, built on first use and kept with the algebra.
+
+        Threads racing on the first use each build an equal read-only view and
+        the last store wins, so no lock is needed.
+        """
+        arrays = self._arrays
+        if arrays is None:
+            n = self.size
+            arrays = TableArrays(
+                _read_only(self.add, (n, n)),
+                _read_only(self.neg, (n,)),
+                tuple(_read_only(op.table, (n,) * op.arity) for op in self.omega),
+            )
+            object.__setattr__(self, "_arrays", arrays)
+        return arrays
 
     @property
     def elements(self) -> range:

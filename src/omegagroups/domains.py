@@ -109,7 +109,7 @@ def is_anticommutative(
 def is_anticommutative_exhaustive(
     algebra: FiniteOmegaGroup, subset: frozenset[int] | None = None
 ) -> WitnessedVerdict:
-    """Oracle variant quantifying over all ideals from the subset scan."""
+    """Oracle variant quantifying over all ideals from enumerate_ideals."""
     p = frozenset(algebra.elements) if subset is None else frozenset(subset)
     ideals = [i for i in enumerate_ideals(algebra, p if subset is not None else None)
               if i != {0}]

@@ -59,5 +59,9 @@ class OracleDisagreementError(AlgebraError):
     """Two independent decision methods disagree; signals an implementation bug."""
 
 
+class InvalidArgumentError(AlgebraError, ValueError):
+    """An argument is out of range: a point off the carrier, fewer than one variable."""
+
+
 class ParseError(AlgebraError):
     """Malformed algebra file or term expression; message carries the location."""

@@ -24,10 +24,11 @@ import numpy as np
 
 from .core import FiniteOmegaGroup
 from .domains import WitnessedVerdict
-from .errors import TooLargeError
+from .errors import InvalidArgumentError, TooLargeError
 from .terms import Term, grid_points, random_term, term_values
 
 DEFAULT_POINT_GUARD = 10**6
+ROW_CARRIER_LIMIT = 256  # rows of product tuples are uint8
 GRID_CELL_LIMIT = 16
 GRID_ROW_CAP = 500_000
 WORKLIST_ROW_CAP = 2_000_000
@@ -59,9 +60,17 @@ class LatticeReport:
     distributivity_counterexample: tuple | None
 
 
+def _check_carrier(algebra: FiniteOmegaGroup) -> None:
+    if algebra.size > ROW_CARRIER_LIMIT:
+        raise TooLargeError(
+            f"carrier of size {algebra.size} exceeds the {ROW_CARRIER_LIMIT} elements "
+            "a row of product tuples can hold"
+        )
+
+
 def _check_guard(algebra: FiniteOmegaGroup, n_vars: int, guard: int) -> int:
     if n_vars < 1:
-        raise ValueError("n_vars must be at least 1")
+        raise InvalidArgumentError("n_vars must be at least 1")
     total = algebra.size**n_vars
     if total > guard:
         raise TooLargeError(
@@ -75,7 +84,7 @@ def _validate_points(algebra: FiniteOmegaGroup, n_vars: int, points: Iterable[Po
     for p in points:
         t = tuple(p)
         if len(t) != n_vars or any(not 0 <= x < algebra.size for x in t):
-            raise ValueError(f"point {t} is not a {n_vars}-tuple over the carrier")
+            raise InvalidArgumentError(f"point {t} is not a {n_vars}-tuple over the carrier")
         out.add(t)
     return out
 
@@ -321,6 +330,7 @@ def term_function_table(
     to materialize, e.g. over functionally complete algebras).  Results are
     cached per (algebra, n_vars).
     """
+    _check_carrier(algebra)
     key = (algebra, n_vars)
     if key in _grid_cache:
         return _grid_cache[key]
@@ -366,6 +376,7 @@ def point_in_closure(
     (points + candidate) generated by the coordinate projections reaches an
     element vanishing at every point but not at the candidate.
     """
+    _check_carrier(algebra)
     pts = sorted(_validate_points(algebra, n_vars, points))
     cand = tuple(candidate)
     if cand in pts:
@@ -427,6 +438,7 @@ def zariski_closure(
     prefilter: bool = True,
 ) -> frozenset[Point]:
     """Least algebraic superset of the point set."""
+    _check_carrier(algebra)
     total = _check_guard(algebra, n_vars, guard)
     pts = _validate_points(algebra, n_vars, points)
     if len(pts) == total:
@@ -492,6 +504,7 @@ def closure_excess_point(
     guard: int = DEFAULT_POINT_GUARD,
 ) -> Point | None:
     """First grid point (lexicographically) in the closure but not the set."""
+    _check_carrier(algebra)
     total = _check_guard(algebra, n_vars, guard)
     pts = _validate_points(algebra, n_vars, points)
     if len(pts) == total:

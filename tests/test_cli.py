@@ -1,4 +1,6 @@
 import io
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -137,3 +139,25 @@ def test_catalog_text_output_runs():
     assert code == 0
     assert "violations: 0" in out
     assert "algebra: M2(F2)-ring" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{zero_arity}"],
+        ["closure", "{ring}", "--vars", "2", "--points", "9,9"],
+        ["solve", "{ring}", "--vars", "0", "--eq", "x1"],
+    ],
+    ids=["validate-zero-arity", "closure-point-off-carrier", "solve-zero-vars"],
+)
+def test_bad_input_exits_2_with_one_error_line(argv, ring_files, tmp_path):
+    zero_arity = tmp_path / "zero-arity.alg"
+    zero_arity.write_text("algebra u\nsize 2\nadd\n0 1\n1 0\nop u 0\n")
+    args = [a.format(zero_arity=zero_arity, ring=ring_files[3]) for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-m", "omegagroups.cli", *args], capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -11,12 +11,14 @@ from omegagroups.catalog import (
     null_ring_klein,
     abelian_lie_f2,
 )
+from omegagroups.core import FiniteOmegaGroup
 from omegagroups.domains import is_domain, zero_divisor_witness
-from omegagroups.errors import TooLargeError
+from omegagroups.errors import InvalidArgumentError, TooLargeError
 from omegagroups.terms import grid_points, parse_term, random_term
 from omegagroups.zariski import (
     EquationSystem,
     bounded_depth_ideal_oracle,
+    closure_excess_point,
     enumerate_algebraic_sets,
     equational_domain_check,
     is_algebraic,
@@ -251,3 +253,35 @@ def test_grid_table_known_sizes():
     assert term_function_table(cyclic_ring(3), 2).shape[0] == 3**8
     assert term_function_table(cyclic_ring(4), 2).shape[0] == 16384
     assert term_function_table(null_ring_klein(), 2).shape[0] == 4
+
+
+def unvalidated_cyclic_group(n):
+    """Z_n built without validate_algebra, whose cubic scan is slow at n > 256."""
+    add = tuple((a + b) % n for a in range(n) for b in range(n))
+    return FiniteOmegaGroup(f"Z{n}-group", n, add, tuple(-a % n for a in range(n)), ())
+
+
+def test_carriers_above_256_are_refused():
+    z257 = unvalidated_cyclic_group(257)
+    calls = [
+        lambda: zariski_closure(z257, 1, [(1,)]),
+        lambda: closure_excess_point(z257, 1, [(1,)]),
+        lambda: point_in_closure(z257, 1, [(1,)], (2,)),
+        lambda: is_algebraic(z257, 1, [(1,)]),
+        lambda: equational_domain_check(z257),
+        lambda: term_function_table(z257, 1),
+        lambda: enumerate_algebraic_sets(z257, 1),
+        lambda: bounded_depth_ideal_oracle(z257, 1, [(1,)], 1),
+    ]
+    for call in calls:
+        with pytest.raises(TooLargeError):
+            call()
+    assert point_in_closure(unvalidated_cyclic_group(256), 1, [(1,)], (255,))
+
+
+def test_bad_arguments_are_value_errors_of_the_package():
+    z3 = cyclic_ring(3)
+    with pytest.raises(InvalidArgumentError):
+        zariski_closure(z3, 2, [(9, 9)])
+    with pytest.raises(ValueError):
+        solve_system(z3, EquationSystem(0, ()))
