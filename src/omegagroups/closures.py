@@ -222,6 +222,11 @@ def commutator_group_is_trivial(
     """
     if not is_omega_subgroup(algebra, a_set) or not is_omega_subgroup(algebra, b_set):
         raise NotASubgroupError("commutator test expects closed subgroups")
+    return _commutator_scan(algebra, a_set, b_set)
+
+
+def _commutator_scan(algebra: FiniteOmegaGroup, a_set, b_set) -> tuple[bool, tuple | None]:
+    """commutator_group_is_trivial for sets already known to be closed subgroups."""
     scan = _commutator_generators(algebra, a_set, b_set, FIRST_SCAN_BLOCK)
     for name, columns, values in scan:
         hits = np.flatnonzero(values)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .closures import (
-    commutator_group_is_trivial,
+    _commutator_scan,
     enumerate_ideals,
     enumerate_omega_subgroups,
     generated_subgroup,
@@ -46,7 +46,7 @@ def is_abelian(
     p = frozenset(algebra.elements) if subset is None else frozenset(subset)
     if not is_omega_subgroup(algebra, p):
         raise NotASubgroupError("is_abelian expects a closed subgroup")
-    trivial, desc = commutator_group_is_trivial(algebra, p, p)
+    trivial, desc = _commutator_scan(algebra, p, p)
     if trivial:
         return WitnessedVerdict(True, "self-commutator-trivial")
     if desc[0] == "commutator":
@@ -68,7 +68,7 @@ def zero_divisor_witness(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
     ideals = {a: principal_ideal(algebra, a) for a in range(1, algebra.size)}
     for a in range(1, algebra.size):
         for b in range(1, algebra.size):
-            trivial, _ = commutator_group_is_trivial(algebra, ideals[a], ideals[b])
+            trivial, _ = _commutator_scan(algebra, ideals[a], ideals[b])
             if trivial:
                 return WitnessedVerdict(True, "principal-ideal-commutator", {"a": a, "b": b})
     return WitnessedVerdict(False, "principal-ideal-commutator")
@@ -96,7 +96,7 @@ def is_anticommutative(
     nonzero = [a for a in sorted(p) if a != 0]
     ideals = {a: ideal_closure(algebra, p, (a,)) for a in nonzero}
     for a in nonzero:
-        trivial, _ = commutator_group_is_trivial(algebra, ideals[a], ideals[a])
+        trivial, _ = _commutator_scan(algebra, ideals[a], ideals[a])
         if trivial:
             return WitnessedVerdict(False, "abelian-principal-ideal", {"a": a})
     for a in nonzero:
@@ -114,7 +114,7 @@ def is_anticommutative_exhaustive(
     ideals = [i for i in enumerate_ideals(algebra, p if subset is not None else None)
               if i != {0}]
     for ideal in ideals:
-        trivial, _ = commutator_group_is_trivial(algebra, ideal, ideal)
+        trivial, _ = _commutator_scan(algebra, ideal, ideal)
         if trivial:
             a = min(x for x in ideal if x != 0)
             return WitnessedVerdict(False, "abelian-ideal-exhaustive", {"a": a})
@@ -151,7 +151,7 @@ def _c_anticommutative_criterion(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
     subgroups = {a: generated_subgroup(algebra, a) for a in range(1, algebra.size)}
     for a in range(1, algebra.size):
         for b in range(1, algebra.size):
-            trivial, _ = commutator_group_is_trivial(algebra, subgroups[a], subgroups[b])
+            trivial, _ = _commutator_scan(algebra, subgroups[a], subgroups[b])
             if trivial:
                 return WitnessedVerdict(
                     False, "generated-subgroup-commutator", {"a": a, "b": b}

@@ -158,9 +158,8 @@ def term_values(
     else:
         arr = np.asarray(points, dtype=np.int64).reshape(len(points), n_vars)
         coords = [arr[:, i] for i in range(n_vars)]
-    n = algebra.size
-    add_t = np.asarray(algebra.add, dtype=np.int64)
-    neg_t = np.asarray(algebra.neg, dtype=np.int64)
+    view = algebra.arrays
+    ops = {table.name: array for table, array in zip(algebra.omega, view.ops)}
 
     def rec(node: Term) -> np.ndarray:
         if isinstance(node, Zero):
@@ -170,20 +169,16 @@ def term_values(
                 raise UnboundVariableError(f"x{node.index} exceeds {n_vars} variables")
             return coords[node.index - 1]
         if isinstance(node, Neg):
-            return neg_t[rec(node.child)]
+            return view.neg[rec(node.child)]
         if isinstance(node, Add):
-            return add_t[rec(node.left) * n + rec(node.right)]
+            return view.add[rec(node.left), rec(node.right)]
         if isinstance(node, Op):
             table = algebra.operation(node.name)
             if len(node.args) != table.arity:
                 raise ArityMismatchError(
                     f"{node.name}: expected {table.arity} arguments, got {len(node.args)}"
                 )
-            flat = np.asarray(table.table, dtype=np.int64)
-            idx = np.zeros_like(coords[0]) if coords else np.zeros(1, dtype=np.int64)
-            for a in node.args:
-                idx = idx * n + rec(a)
-            return flat[idx]
+            return ops[node.name][tuple(rec(a) for a in node.args)]
         raise TypeError(f"not a term: {node!r}")
 
     return rec(t)

@@ -2,30 +2,49 @@
 
 The closure of a point set A is decided pointwise: a candidate point lies
 outside the closure exactly when some term vanishes on all of A but not at
-the candidate.  Because term functions into H are precisely the elements of
-the subalgebra of H^(A plus candidate) generated by the coordinate
-projections, that question is a reachability search in a finite product
-algebra, with early exit once a separating element appears.
+the candidate.  Term functions into H are precisely the elements of the
+subalgebra of H^(A plus candidate) generated by the coordinate projections,
+so every question here is a closure of rows: each row is an element of a
+product H^k, held as k uint8 coordinates, and the operations act on rows
+componentwise.
 
-Two independent routes exist and are cross-checked in the test suite:
+One kernel, ``_close_rows``, computes every such closure.  It runs the
+semi-naive fixed point of ``closures._step`` on rows: each round applies
+every operation to the tuples of rows that touch the frontier (the rows the
+previous round added), split by the position j of their first frontier row,
+with older rows before j and any row after it, so each tuple is formed once.
+Tuples are formed in blocks of a few million entries; each round's values are
+sorted, deduplicated and appended.  The callers differ only in data: the
+operations, the start rows, a row cap, a round limit (the bounded-depth
+oracle) and an early-exit predicate (the per-candidate separator search).
 
-* per-candidate worklists over product tuples (always available), and
-* a cached table of all term functions on the full grid H^n (built only for
-  small grids), from which every closure query is a couple of row filters.
+One candidate loop, ``_closure_members``, serves ``zariski_closure``,
+``closure_excess_point`` and ``point_in_closure``.  It yields the closure's
+new points in lexicographic order by one of two routes, cross-checked in the
+test suite:
+
+* a cached table of all term functions on the full grid H^n (used on small
+  grids), from which a closure query is a couple of row filters, or
+* per-candidate worklists: the zero point lies in every closure, a seeded
+  random-term prefilter drops the candidates it separates, and a closure of
+  product rows that stops at the first separating row decides each of the
+  rest.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import product as iproduct
+from math import prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import FiniteOmegaGroup
 from .domains import WitnessedVerdict
 from .errors import InvalidArgumentError, TooLargeError
-from .terms import Term, grid_points, random_term, term_values
+from .terms import Term, _coordinate_vectors, grid_points, random_term, term_values
 
 DEFAULT_POINT_GUARD = 10**6
 ROW_CARRIER_LIMIT = 256  # rows of product tuples are uint8
@@ -101,53 +120,51 @@ def solve_system(
     return frozenset(cells[i] for i in np.nonzero(keep)[0])
 
 
-# --- term-function tables (grid route) --------------------------------------
+# --- the row-closure kernel ----------------------------------------------------
 
-_grid_cache: dict[tuple[FiniteOmegaGroup, int], np.ndarray | None] = {}
+_BLOCK_ENTRIES = 8_000_000  # entries of one block of operation values
 
 
 class _GridOverflow(Exception):
     pass
 
 
-def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
-    """Addition commutative and every extra operation additive in each slot."""
-    n = algebra.size
-    for a in range(n):
-        for b in range(n):
-            if algebra.add_of(a, b) != algebra.add_of(b, a):
-                return False
-    for table in algebra.omega:
-        arity = table.arity
-        for slot in range(arity):
-            for fixed in grid_points(n, arity - 1):
-                for a in range(n):
-                    for b in range(n):
-                        args_sum = fixed[:slot] + (algebra.add_of(a, b),) + fixed[slot:]
-                        args_a = fixed[:slot] + (a,) + fixed[slot:]
-                        args_b = fixed[:slot] + (b,) + fixed[slot:]
-                        lhs = table.table[table.flat_index(args_sum, n)]
-                        rhs = algebra.add_of(
-                            table.table[table.flat_index(args_a, n)],
-                            table.table[table.flat_index(args_b, n)],
-                        )
-                        if lhs != rhs:
-                            return False
-    return True
+def _signature_ops(algebra: FiniteOmegaGroup) -> list[np.ndarray]:
+    view = algebra.arrays
+    return [view.neg, view.add, *view.ops]
 
 
-def _pairs(algebra, flat_table, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """table[l, r] componentwise for every row pair; chunked to bound memory."""
-    n = algebra.size
-    k = left.shape[1]
-    table = np.asarray(flat_table, dtype=np.uint8)
-    out = []
-    budget = max(1, 8_000_000 // max(1, right.shape[0] * k))
-    for start in range(0, left.shape[0], budget):
-        chunk = left[start : start + budget].astype(np.int64)
-        idx = chunk[:, None, :] * n + right[None, :, :].astype(np.int64)
-        out.append(table[idx].reshape(-1, k))
-    return np.concatenate(out) if out else np.empty((0, k), dtype=np.uint8)
+def _op_values(op: np.ndarray, axes: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """op applied componentwise to every tuple of axes[0] x axes[1] x ...
+
+    Each axis is an array of rows.  Yields uint8 blocks of about
+    _BLOCK_ENTRIES entries, in row-major tuple order: the trailing axes that
+    fit in a block are broadcast whole, the axis before them is cut into
+    chunks, and the axes before that are walked one row at a time.
+    """
+    sizes = [len(axis) for axis in axes]
+    if 0 in sizes:
+        return
+    n, k, m = op.shape[0], axes[0].shape[1], len(axes)
+    flat = op.astype(np.uint8).ravel()
+    s = 0
+    while s < m - 1 and prod(sizes[s + 1 :]) * k > _BLOCK_ENTRIES:
+        s += 1
+    step = max(1, _BLOCK_ENTRIES // (prod(sizes[s + 1 :]) * k))
+    tail = [
+        axes[i].reshape((1,) * (i - s) + (sizes[i],) + (1,) * (m - 1 - i) + (k,))
+        for i in range(s + 1, m)
+    ]
+    for prefix in iproduct(*(range(size) for size in sizes[:s])):
+        base = 0
+        for axis, i in zip(axes, prefix):
+            base = base * n + axis[i].astype(np.intp)
+        for lo in range(0, sizes[s], step):
+            chunk = axes[s][lo : lo + step].astype(np.intp)
+            idx = base * n + chunk.reshape((-1,) + (1,) * (m - 1 - s) + (k,))
+            for axis in tail:
+                idx = idx * n + axis
+            yield flat[idx].reshape(-1, k)
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -183,90 +200,76 @@ def _dedup_against(rows: np.ndarray, seen: set[bytes]) -> np.ndarray:
     )
 
 
-def _subalgebra_rows(
-    algebra: FiniteOmegaGroup,
-    generators: np.ndarray,
-    row_cap: int,
-    separator_cols: int | None = None,
-):
-    """Close generator rows under all operations, componentwise.
+def _close_rows(
+    ops: Sequence[np.ndarray],
+    start: np.ndarray,
+    row_cap: int | None = None,
+    steps: int | None = None,
+    stop: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray, bool]:
+    """Close the start rows under ops (arrays shaped (n,)*arity), componentwise.
 
-    Returns (rows, separator_row).  When separator_cols is given, the search
-    stops as soon as a row is zero on the first separator_cols coordinates
-    and nonzero on the last one; that row is returned as the separator.
-    Raises _GridOverflow past row_cap.
+    Returns (rows, stopped).  The start rows are deduplicated and form the
+    first frontier; each round forms the values on the tuples touching it
+    (module docstring) and keeps the new ones, sorted, as the next frontier.
+    At most `steps` rounds run.  `stop` sees the start rows and then every
+    block of values; when it returns True the search ends with the rows
+    kept so far.  More than row_cap rows raise _GridOverflow.
     """
-    k = generators.shape[1]
-    zero = np.zeros((1, k), dtype=np.uint8)
-    start = np.concatenate([zero, generators.astype(np.uint8)])
     seen: set[bytes] = set()
-    frontier = _dedup_against(start, seen)
-    rows = frontier
-
-    def find_separator(block: np.ndarray):
-        if separator_cols is None or block.size == 0:
-            return None
-        hits = (block[:, :separator_cols] == 0).all(axis=1) & (block[:, -1] != 0)
-        where = np.nonzero(hits)[0]
-        return block[where[0]] if where.size else None
-
-    sep = find_separator(frontier)
-    if sep is not None:
-        return rows, sep
-
-    unary_tables = [algebra.neg] + [t.table for t in algebra.omega if t.arity == 1]
-    binary_tables = [algebra.add] + [t.table for t in algebra.omega if t.arity == 2]
-    ternary = [t for t in algebra.omega if t.arity == 3]
-
-    while frontier.size:
+    rows = frontier = _dedup_against(start, seen)
+    if stop is not None and stop(frontier):
+        return rows, True
+    rounds = 0
+    while frontier.size and (steps is None or rounds < steps):
+        rounds += 1
+        older = rows[: len(rows) - len(frontier)]
         blocks = []
-        for table in unary_tables:
-            blocks.append(np.asarray(table, dtype=np.uint8)[frontier.astype(np.int64)])
-        for table in binary_tables:
-            blocks.append(_pairs(algebra, table, frontier, rows))
-            blocks.append(_pairs(algebra, table, rows, frontier))
-        for op in ternary:
-            blocks.extend(_ternary_blocks(algebra, op, frontier, rows))
-        if blocks:
-            merged = _unique_rows(np.concatenate(blocks))
-        else:
-            merged = np.empty((0, k), dtype=np.uint8)
-        fresh = _dedup_against(merged, seen)
-        sep = find_separator(fresh)
-        if sep is not None:
-            return np.concatenate([rows, fresh]), sep
-        if fresh.size:
-            rows = np.concatenate([rows, fresh])
-            if rows.shape[0] > row_cap:
+        for op in ops:
+            arity = op.ndim
+            for j in range(arity):
+                axes = [older] * j + [frontier] + [rows] * (arity - 1 - j)
+                for block in _op_values(op, axes):
+                    if stop is not None and stop(block):
+                        return rows, True
+                    blocks.append(block)
+        merged = _unique_rows(np.concatenate(blocks)) if blocks else rows[:0]
+        frontier = _dedup_against(merged, seen)
+        if frontier.size:
+            rows = np.concatenate([rows, frontier])
+            if row_cap is not None and rows.shape[0] > row_cap:
                 raise _GridOverflow(rows.shape[0])
-        frontier = fresh
-    return rows, None
+    return rows, False
 
 
-def _ternary_blocks(algebra, op, frontier, rows):
-    # Triples touching the frontier; fine at the sizes ternary signatures get.
-    flat = np.asarray(op.table, dtype=np.uint8)
-    n = algebra.size
-    combos = [(frontier, rows, rows), (rows, frontier, rows), (rows, rows, frontier)]
-    out = []
-    for xs, ys, zs in combos:
-        for x in xs.astype(np.int64):
-            idx = (x[None, None, :] * n + ys[:, None, :].astype(np.int64)) * n + zs[
-                None, :, :
-            ].astype(np.int64)
-            out.append(flat[idx].reshape(-1, xs.shape[1]))
-    return out
+# --- term-function tables (grid route) --------------------------------------
+
+_grid_cache: dict[tuple[FiniteOmegaGroup, int], np.ndarray | None] = {}
 
 
-def _span_extend(algebra, rows: np.ndarray, vector: np.ndarray, seen, row_cap):
+def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
+    """Addition commutative and every extra operation additive in each slot."""
+    view = algebra.arrays
+    add = view.add
+    if not (add == add.T).all():
+        return False
+    for op in view.ops:
+        for slot in range(op.ndim):
+            moved = np.moveaxis(op, slot, 0)
+            for a in range(algebra.size):
+                # w(.., a + b, ..) == w(.., a, ..) + w(.., b, ..) for every b
+                if not (moved[add[a]] == add[moved[a], moved]).all():
+                    return False
+    return True
+
+
+def _span_extend(add: np.ndarray, rows: np.ndarray, vector: np.ndarray, seen, row_cap):
     """Extend an additive span by all multiples of one vector (abelian add)."""
-    n = algebra.size
-    add = np.asarray(algebra.add, dtype=np.uint8)
     shifted = rows
     out = [rows]
     total = rows.shape[0]
     while True:
-        shifted = add[shifted.astype(np.int64) * n + vector[None, :].astype(np.int64)]
+        shifted = add[shifted, vector].astype(np.uint8)
         fresh = _dedup_against(_unique_rows(shifted), seen)
         if not fresh.size:
             break
@@ -280,45 +283,25 @@ def _span_extend(algebra, rows: np.ndarray, vector: np.ndarray, seen, row_cap):
 def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
     """Term-function table for multiadditive algebras.
 
-    Closure under the extra operations is decided on a worklist of monomial
-    vectors (multiadditivity folds everything else into sums), and the
-    additive span is accumulated by repeated coset extension.
+    The monomial vectors are the closure of the projections under the extra
+    operations alone (multiadditivity folds everything else into sums), and
+    the additive span is accumulated by repeated coset extension.
     """
-    k = gens.shape[1]
-    mono_seen: set[bytes] = set()
-    monomials = _dedup_against(gens.astype(np.uint8), mono_seen)
-    all_monos = monomials
-    binary = [t.table for t in algebra.omega if t.arity == 2]
-    unary = [t.table for t in algebra.omega if t.arity == 1]
-    ternary = [t for t in algebra.omega if t.arity == 3]
-    frontier = monomials
-    while frontier.size:
-        blocks = []
-        for table in unary:
-            blocks.append(np.asarray(table, dtype=np.uint8)[frontier.astype(np.int64)])
-        for table in binary:
-            blocks.append(_pairs(algebra, table, frontier, all_monos))
-            blocks.append(_pairs(algebra, table, all_monos, frontier))
-        for op in ternary:
-            blocks.extend(_ternary_blocks(algebra, op, frontier, all_monos))
-        if blocks:
-            fresh = _dedup_against(_unique_rows(np.concatenate(blocks)), mono_seen)
-        else:
-            fresh = np.empty((0, k), dtype=np.uint8)
-        if fresh.size:
-            all_monos = np.concatenate([all_monos, fresh])
-            if all_monos.shape[0] > row_cap:
-                raise _GridOverflow(all_monos.shape[0])
-        frontier = fresh
-
+    view = algebra.arrays
+    monomials, _ = _close_rows(view.ops, gens, row_cap)
     span_seen: set[bytes] = set()
-    span = _dedup_against(np.zeros((1, k), dtype=np.uint8), span_seen)
-    neg = np.asarray(algebra.neg, dtype=np.uint8)
-    for row in all_monos:
-        for vec in (row, neg[row.astype(np.int64)]):
+    span = _dedup_against(np.zeros((1, gens.shape[1]), dtype=np.uint8), span_seen)
+    for row in monomials:
+        for vec in (row, view.neg[row].astype(np.uint8)):
             if vec.tobytes() not in span_seen:
-                span = _span_extend(algebra, span, vec, span_seen, row_cap)
+                span = _span_extend(view.add, span, vec, span_seen, row_cap)
     return span
+
+
+def _projection_rows(algebra: FiniteOmegaGroup, n_vars: int) -> np.ndarray:
+    """The zero row and the coordinate projections over the row-major grid."""
+    coords = _coordinate_vectors(algebra.size, n_vars)
+    return np.stack([np.zeros(algebra.size**n_vars, dtype=np.intp), *coords]).astype(np.uint8)
 
 
 def term_function_table(
@@ -334,23 +317,27 @@ def term_function_table(
     key = (algebra, n_vars)
     if key in _grid_cache:
         return _grid_cache[key]
-    total = algebra.size**n_vars
-    idx = np.arange(total)
-    gens = np.stack(
-        [
-            ((idx // algebra.size ** (n_vars - 1 - i)) % algebra.size).astype(np.uint8)
-            for i in range(n_vars)
-        ]
-    )
+    start = _projection_rows(algebra, n_vars)
     try:
         if _is_multiadditive(algebra):
-            table = _grid_table_spanning(algebra, gens, row_cap)
+            table = _grid_table_spanning(algebra, start[1:], row_cap)
         else:
-            table, _ = _subalgebra_rows(algebra, gens, row_cap)
+            table, _ = _close_rows(_signature_ops(algebra), start, row_cap)
     except _GridOverflow:
         table = None
     _grid_cache[key] = table
     return table
+
+
+def _closure_from_table(algebra, n_vars, pts, table: np.ndarray) -> frozenset[Point]:
+    cols = [_cell_index(algebra, p) for p in sorted(pts)]
+    if cols:
+        vanishing = table[(table[:, cols] == 0).all(axis=1)]
+    else:
+        vanishing = table
+    member_mask = (vanishing == 0).all(axis=0)
+    cells = list(grid_points(algebra.size, n_vars))
+    return frozenset(cells[i] for i in np.nonzero(member_mask)[0])
 
 
 # --- pointwise membership ----------------------------------------------------
@@ -363,45 +350,26 @@ def _cell_index(algebra: FiniteOmegaGroup, point: Point) -> int:
     return idx
 
 
-def point_in_closure(
-    algebra: FiniteOmegaGroup,
-    n_vars: int,
-    points: Iterable[Point],
-    candidate: Point,
-    prefilter: bool = True,
-) -> bool:
-    """Decide whether candidate lies in the closure of the point set.
+def _worklist_membership(algebra, n_vars, pts: list[Point], cand: Point) -> bool:
+    """Exact membership of one candidate.
 
-    Exact: the candidate is outside iff the subalgebra of the product over
+    The candidate is outside iff the subalgebra of the product over
     (points + candidate) generated by the coordinate projections reaches an
     element vanishing at every point but not at the candidate.
     """
-    _check_carrier(algebra)
-    pts = sorted(_validate_points(algebra, n_vars, points))
-    cand = tuple(candidate)
-    if cand in pts:
-        return True
-    if all(x == 0 for x in cand):
-        return True  # every term function vanishes at the zero point
-    if prefilter and _prefilter_separates(algebra, n_vars, pts, [cand])[0]:
-        return False
-    return _worklist_membership(algebra, n_vars, pts, cand)
+    columns = np.array(list(pts) + [cand], dtype=np.uint8)
+    start = np.concatenate([np.zeros((1, columns.shape[0]), dtype=np.uint8), columns.T])
 
+    def separates(block: np.ndarray) -> bool:
+        return bool((~block[:, :-1].any(axis=1) & (block[:, -1] != 0)).any())
 
-def _worklist_membership(algebra, n_vars, pts: list[Point], cand: Point) -> bool:
-    columns = list(pts) + [cand]
-    gens = np.array(
-        [[p[i] for p in columns] for i in range(n_vars)], dtype=np.uint8
-    )
     try:
-        _, sep = _subalgebra_rows(
-            algebra, gens, WORKLIST_ROW_CAP, separator_cols=len(pts)
-        )
+        _, separated = _close_rows(_signature_ops(algebra), start, WORKLIST_ROW_CAP, stop=separates)
     except _GridOverflow as exc:
         raise TooLargeError(
             f"closure membership search exceeded {WORKLIST_ROW_CAP} product tuples"
         ) from exc
-    return sep is None
+    return not separated
 
 
 def _prefilter_separates(
@@ -429,6 +397,68 @@ def _prefilter_separates(
     return out
 
 
+def _point_set(algebra, n_vars, points, method="auto", guard=None) -> set[Point]:
+    """The validated point set; every argument is checked before any search."""
+    if method not in ("auto", "grid", "percandidate"):
+        raise InvalidArgumentError(f"unknown closure method {method!r}")
+    _check_carrier(algebra)
+    if guard is not None:
+        _check_guard(algebra, n_vars, guard)
+    return _validate_points(algebra, n_vars, points)
+
+
+def _closure_members(
+    algebra, n_vars, pts: set[Point], method="auto", prefilter=True, candidates=None
+) -> Iterator[Point]:
+    """Yield, in lexicographic order, the points outside pts in their closure.
+
+    Without `candidates` the whole grid is asked: the term-function table
+    answers for method "grid", and for "auto" on grids of at most
+    GRID_CELL_LIMIT cells whose table fits its cap.  Otherwise, and always
+    for given candidates (outside pts), each candidate is decided alone.
+    """
+    total = algebra.size**n_vars
+    if candidates is None:
+        if len(pts) == total:
+            return
+        if method == "grid" or (method == "auto" and total <= GRID_CELL_LIMIT):
+            table = term_function_table(algebra, n_vars)
+            if table is None and method == "grid":
+                raise TooLargeError("term-function table exceeds the row cap")
+            if table is not None:
+                yield from sorted(_closure_from_table(algebra, n_vars, pts, table) - pts)
+                return
+        candidates = [p for p in grid_points(algebra.size, n_vars) if p not in pts]
+    if not any(candidates[0]):
+        yield candidates.pop(0)  # every term function vanishes at the zero point
+    sorted_pts = sorted(pts)
+    separated = (
+        _prefilter_separates(algebra, n_vars, sorted_pts, candidates)
+        if prefilter
+        else np.zeros(len(candidates), dtype=bool)
+    )
+    for cand, out in zip(candidates, separated):
+        if not out and _worklist_membership(algebra, n_vars, sorted_pts, cand):
+            yield cand
+
+
+def point_in_closure(
+    algebra: FiniteOmegaGroup,
+    n_vars: int,
+    points: Iterable[Point],
+    candidate: Point,
+    prefilter: bool = True,
+) -> bool:
+    """Decide whether candidate lies in the closure of the point set.
+
+    Always by the per-candidate route: prefilter, then one worklist.
+    """
+    pts = _point_set(algebra, n_vars, points)
+    (cand,) = _validate_points(algebra, n_vars, [candidate])
+    found = _closure_members(algebra, n_vars, pts, prefilter=prefilter, candidates=[cand])
+    return cand in pts or next(found, None) is not None
+
+
 def zariski_closure(
     algebra: FiniteOmegaGroup,
     n_vars: int,
@@ -438,51 +468,8 @@ def zariski_closure(
     prefilter: bool = True,
 ) -> frozenset[Point]:
     """Least algebraic superset of the point set."""
-    _check_carrier(algebra)
-    total = _check_guard(algebra, n_vars, guard)
-    pts = _validate_points(algebra, n_vars, points)
-    if len(pts) == total:
-        return frozenset(pts)
-
-    if method not in ("auto", "grid", "percandidate"):
-        raise ValueError(f"unknown closure method {method!r}")
-    table = None
-    if method == "grid" or (method == "auto" and total <= GRID_CELL_LIMIT):
-        table = term_function_table(algebra, n_vars)
-        if table is None and method == "grid":
-            raise TooLargeError("term-function table exceeds the row cap")
-    if table is not None:
-        return _closure_from_table(algebra, n_vars, pts, table)
-
-    sorted_pts = sorted(pts)
-    inside = set(pts)
-    zero_point = (0,) * n_vars
-    candidates = [p for p in grid_points(algebra.size, n_vars) if p not in pts]
-    decided_out = (
-        _prefilter_separates(algebra, n_vars, sorted_pts, candidates)
-        if prefilter
-        else np.zeros(len(candidates), dtype=bool)
-    )
-    for i, cand in enumerate(candidates):
-        if cand == zero_point:
-            inside.add(cand)
-            continue
-        if decided_out[i]:
-            continue
-        if _worklist_membership(algebra, n_vars, sorted_pts, cand):
-            inside.add(cand)
-    return frozenset(inside)
-
-
-def _closure_from_table(algebra, n_vars, pts, table: np.ndarray) -> frozenset[Point]:
-    cols = [_cell_index(algebra, p) for p in sorted(pts)]
-    if cols:
-        vanishing = table[(table[:, cols] == 0).all(axis=1)]
-    else:
-        vanishing = table
-    member_mask = (vanishing == 0).all(axis=0)
-    cells = list(grid_points(algebra.size, n_vars))
-    return frozenset(cells[i] for i in np.nonzero(member_mask)[0])
+    pts = _point_set(algebra, n_vars, points, method, guard)
+    return frozenset(pts).union(_closure_members(algebra, n_vars, pts, method, prefilter))
 
 
 def is_algebraic(
@@ -504,31 +491,8 @@ def closure_excess_point(
     guard: int = DEFAULT_POINT_GUARD,
 ) -> Point | None:
     """First grid point (lexicographically) in the closure but not the set."""
-    _check_carrier(algebra)
-    total = _check_guard(algebra, n_vars, guard)
-    pts = _validate_points(algebra, n_vars, points)
-    if len(pts) == total:
-        return None
-    table = None
-    if total <= GRID_CELL_LIMIT:
-        table = term_function_table(algebra, n_vars)
-    if table is not None:
-        closure = _closure_from_table(algebra, n_vars, pts, table)
-        extra = sorted(closure - pts)
-        return extra[0] if extra else None
-
-    sorted_pts = sorted(pts)
-    zero_point = (0,) * n_vars
-    candidates = [p for p in grid_points(algebra.size, n_vars) if p not in pts]
-    decided_out = _prefilter_separates(algebra, n_vars, sorted_pts, candidates)
-    for i, cand in enumerate(candidates):
-        if cand == zero_point:
-            return cand
-        if decided_out[i]:
-            continue
-        if _worklist_membership(algebra, n_vars, sorted_pts, cand):
-            return cand
-    return None
+    pts = _point_set(algebra, n_vars, points, guard=guard)
+    return next(_closure_members(algebra, n_vars, pts), None)
 
 
 def equational_domain_check(
@@ -641,44 +605,7 @@ def bounded_depth_ideal_oracle(
     """
     if algebra.size > 4 or n_vars > 2 or max_depth > 4:
         raise TooLargeError("oracle guard: size <= 4, n_vars <= 2, max_depth <= 4")
-    pts = sorted(_validate_points(algebra, n_vars, points))
-    total = algebra.size**n_vars
-    idx = np.arange(total)
-    levels = [
-        np.zeros(total, dtype=np.uint8),
-    ] + [
-        ((idx // algebra.size ** (n_vars - 1 - i)) % algebra.size).astype(np.uint8)
-        for i in range(n_vars)
-    ]
-    rows = np.stack(levels)
-    seen = {row.tobytes() for row in rows}
-    frontier = rows
-
-    unary_tables = [algebra.neg] + [t.table for t in algebra.omega if t.arity == 1]
-    binary_tables = [algebra.add] + [t.table for t in algebra.omega if t.arity == 2]
-    ternary = [t for t in algebra.omega if t.arity == 3]
-
-    for _ in range(max_depth):
-        blocks = []
-        for table in unary_tables:
-            blocks.append(np.asarray(table, dtype=np.uint8)[frontier.astype(np.int64)])
-        for table in binary_tables:
-            blocks.append(_pairs(algebra, table, frontier, rows))
-            blocks.append(_pairs(algebra, table, rows, frontier))
-        for op in ternary:
-            blocks.extend(_ternary_blocks(algebra, op, frontier, rows))
-        merged = _unique_rows(np.concatenate(blocks)) if blocks else rows[:0]
-        fresh = _dedup_against(merged, seen)
-        if not fresh.size:
-            break
-        rows = np.concatenate([rows, fresh])
-        frontier = fresh
-
-    cols = [_cell_index(algebra, p) for p in pts]
-    if cols:
-        vanishing = rows[(rows[:, cols] == 0).all(axis=1)]
-    else:
-        vanishing = rows
-    member_mask = (vanishing == 0).all(axis=0)
-    cells = list(grid_points(algebra.size, n_vars))
-    return frozenset(cells[i] for i in np.nonzero(member_mask)[0])
+    pts = _validate_points(algebra, n_vars, points)
+    start = _projection_rows(algebra, n_vars)
+    rows, _ = _close_rows(_signature_ops(algebra), start, steps=max_depth)
+    return _closure_from_table(algebra, n_vars, pts, rows)

@@ -68,6 +68,13 @@ def test_commutator_triviality_shortcut_agrees(small_algebras):
             assert trivial == (commutator_group(algebra, a, b) == {0})
 
 
+def test_commutator_triviality_rejects_sets_that_are_not_subgroups():
+    s3 = symmetric_group_3()
+    for a_set, b_set in ((frozenset({1}), S3_ALL), (S3_ALL, frozenset({0, 1, 3}))):
+        with pytest.raises(NotASubgroupError):
+            commutator_group_is_trivial(s3, a_set, b_set)
+
+
 def test_enumerate_ideals_examples():
     z4r = cyclic_ring(4)
     assert [sorted(i) for i in enumerate_ideals(z4r)] == [[0], [0, 2], [0, 1, 2, 3]]

@@ -1,5 +1,7 @@
 import random
+from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from omegagroups.catalog import (
@@ -11,7 +13,8 @@ from omegagroups.catalog import (
     null_ring_klein,
     abelian_lie_f2,
 )
-from omegagroups.core import FiniteOmegaGroup
+from omegagroups import zariski
+from omegagroups.core import FiniteOmegaGroup, validate_algebra
 from omegagroups.domains import is_domain, zero_divisor_witness
 from omegagroups.errors import InvalidArgumentError, TooLargeError
 from omegagroups.terms import grid_points, parse_term, random_term
@@ -85,7 +88,7 @@ def test_axes_algebraic_over_z3():
     assert is_algebraic(z3r, 2, solve_system(z3r, EquationSystem(2, (parse_term("mul(x1,x2)"),))))
 
 
-def test_closure_methods_agree_on_seeded_sets():
+def test_closure_methods_agree_on_seeded_sets(monkeypatch):
     rng = random.Random(501)
     for algebra in SMALL_FOUR:
         cells = list(grid_points(algebra.size, 2))
@@ -95,6 +98,13 @@ def test_closure_methods_agree_on_seeded_sets():
             per = zariski_closure(algebra, 2, pts, method="percandidate")
             bare = zariski_closure(algebra, 2, pts, method="percandidate", prefilter=False)
             assert grid == per == bare, (algebra.name, sorted(pts))
+            excess = min(grid - pts, default=None)
+            assert closure_excess_point(algebra, 2, pts) == excess  # grid route
+            with monkeypatch.context() as patched:
+                patched.setattr(zariski, "GRID_CELL_LIMIT", 0)  # per-candidate route
+                assert closure_excess_point(algebra, 2, pts) == excess
+            for cand in {excess or (0, 0), max(cells), *sorted(pts)[:1]}:
+                assert point_in_closure(algebra, 2, pts, cand) == (cand in grid)
 
 
 def test_point_membership_matches_closure():
@@ -167,6 +177,66 @@ def test_zero_divisor_pair_lies_in_axes_closure(small_algebras):
         pair = (witness.witness["a"], witness.witness["b"])
         closure = zariski_closure(algebra, 2, axes(algebra.size))
         assert pair in closure and pair not in axes(algebra.size), algebra.name
+
+
+def unary_ternary_algebras():
+    """(algebra, n_vars): non-additive ternary and unary operations on small grids."""
+    z2, z3, z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    xy_plus_z = [(x * y + z) % 2 for x, y, z in grid_points(2, 3)]
+    square = [x * x % 3 for x in range(3)]
+    cubic3 = [(x * y + z * z * x + y * z) % 3 for x, y, z in grid_points(3, 3)]
+    cubic4 = [(x * y + z * z * x + y * z) % 4 for x, y, z in grid_points(4, 3)]
+    return [
+        (validate_algebra("Z2-ternary", 2, z2.add, [("t", 3, xy_plus_z)]), 2),
+        (validate_algebra("Z3-unary-ternary", 3, z3.add, [("u", 1, square), ("t", 3, cubic3)]), 1),
+        (validate_algebra("Z4-ternary", 4, z4.add, [("t", 3, cubic4)]), 1),
+    ]
+
+
+def test_closure_routes_agree_on_unary_and_ternary_signatures():
+    for algebra, n_vars in unary_ternary_algebras():
+        assert not zariski._is_multiadditive(algebra)  # the table is a subalgebra closure
+        table = term_function_table(algebra, n_vars)
+        rows = {row.tobytes() for row in table}
+        for op in (algebra.arrays.neg, algebra.arrays.add, *algebra.arrays.ops):
+            for args in iproduct(table, repeat=op.ndim):
+                assert op[args].astype(np.uint8).tobytes() in rows, algebra.name
+        cells = list(grid_points(algebra.size, n_vars))
+        for mask in range(1 << len(cells)):
+            pts = {cell for i, cell in enumerate(cells) if mask >> i & 1}
+            grid = zariski_closure(algebra, n_vars, pts, method="grid")
+            per = zariski_closure(algebra, n_vars, pts, method="percandidate")
+            bare = zariski_closure(algebra, n_vars, pts, method="percandidate", prefilter=False)
+            oracle = bounded_depth_ideal_oracle(algebra, n_vars, pts, 4)
+            assert grid == per == bare == oracle, (algebra.name, sorted(pts))
+
+
+def naive_row_closure(ops, start):
+    """Close rows under ops applied componentwise, forming every tuple each round."""
+    rows = {tuple(int(x) for x in row) for row in start}
+    while True:
+        values = {
+            tuple(int(op[column]) for column in zip(*args))
+            for op in ops
+            for args in iproduct(sorted(rows), repeat=op.ndim)
+        }
+        if values <= rows:
+            return rows
+        rows |= values
+
+
+def test_row_kernel_matches_naive_closure(monkeypatch):
+    """Sparse random operations on Z5 rows, so that skipped tuples change the closure."""
+    for block_entries in (zariski._BLOCK_ENTRIES, 7):  # 7 walks the prefix rows one by one
+        monkeypatch.setattr(zariski, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(11)
+        for arities in [(3,), (2,), (1, 3), (1, 2, 3)] * 4:
+            ops = [rng.integers(0, 5, size=(5,) * arity) for arity in arities]
+            ops = [np.where(rng.random(op.shape) < 0.9, 0, op) for op in ops]
+            start = rng.integers(0, 5, size=(2, 2), dtype=np.uint8)
+            rows, stopped = zariski._close_rows(ops, start)
+            assert not stopped and len({row.tobytes() for row in rows}) == len(rows)
+            assert {tuple(int(x) for x in row) for row in rows} == naive_row_closure(ops, start)
 
 
 def test_oracle_agreement_on_guarded_instances():
@@ -283,5 +353,11 @@ def test_bad_arguments_are_value_errors_of_the_package():
     z3 = cyclic_ring(3)
     with pytest.raises(InvalidArgumentError):
         zariski_closure(z3, 2, [(9, 9)])
+    for points in ([(0,), (1,), (2,)], [(1,)]):  # the whole grid, and a proper subset
+        with pytest.raises(InvalidArgumentError):
+            zariski_closure(z3, 1, points, method="bogus")
+    for candidate in ((9, 9), (-1, 0), (1,)):
+        with pytest.raises(InvalidArgumentError):
+            point_in_closure(z3, 2, [(1, 0)], candidate)
     with pytest.raises(ValueError):
         solve_system(z3, EquationSystem(0, ()))
