@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
 )
 
 MAX_ARITY = 3
+_LAW_BLOCK_ENTRIES = 1 << 18  # checks of one block of a law scan
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,30 @@ def _check_table(name: str, arity: int, table: Sequence[int], size: int) -> tupl
     return tuple(table)
 
 
+def _first_failure(
+    size: int, checks_per_row: int, failures: Callable[[np.ndarray], np.ndarray]
+) -> tuple[int, ...] | None:
+    """The first failed check of a law scan over a first argument a in 0..size-1.
+
+    `failures(a)` maps a 1-D block of first arguments to a boolean array, True
+    where a check fails: its first axis runs over the block and its other
+    axes, row-major, over the checks_per_row checks made at each a, in the
+    order a loop would make them.  The blocks stay near _LAW_BLOCK_ENTRIES
+    checks.  Returns the index of the first True entry, or None.
+    """
+    step = max(1, _LAW_BLOCK_ENTRIES // checks_per_row)
+    for lo in range(0, size, step):
+        failed = failures(np.arange(lo, min(size, lo + step)))
+        if failed.any():
+            first, *rest = np.unravel_index(int(np.argmax(failed)), failed.shape)
+            return (lo + int(first), *(int(i) for i in rest))
+    return None
+
+
+def _args(failure: Sequence[int]) -> str:
+    return "(" + ",".join(str(x) for x in failure) + ")"
+
+
 def _derive_neg(name: str, size: int, add: tuple[int, ...]) -> tuple[int, ...]:
     neg = [-1] * size
     for a in range(size):
@@ -203,12 +228,12 @@ def validate_algebra(
     for a in range(size):
         if add_t[a] != a or add_t[a * size] != a:
             raise NotAGroupError(f"{name}: index 0 is not a two-sided identity at element {a}")
-    for a in range(size):
-        for b in range(size):
-            ab = add_t[a * size + b]
-            for c in range(size):
-                if add_t[ab * size + c] != add_t[a * size + add_t[b * size + c]]:
-                    raise NotAGroupError(f"{name}: addition not associative at ({a},{b},{c})")
+    add_a = _read_only(add_t, (size, size))
+    failure = _first_failure(
+        size, size * size, lambda a: add_a[add_a[a]] != add_a[a[:, None, None], add_a]
+    )
+    if failure:
+        raise NotAGroupError(f"{name}: addition not associative at {_args(failure)}")
     neg = _derive_neg(name, size, add_t)
 
     tables = []
@@ -318,18 +343,30 @@ def as_ring(name: str, add: Sequence[int], mul: Sequence[int]) -> FiniteOmegaGro
     """An associative ring: abelian addition plus one binary operation named mul."""
     size = _square_size(add)
     algebra = validate_algebra(name, size, add, [("mul", 2, mul)], kind="ring")
-    for a in range(size):
-        for b in range(size):
-            if algebra.add_of(a, b) != algebra.add_of(b, a):
-                raise LawViolationError(f"{name}: ring addition not commutative at ({a},{b})")
-    mul_of = lambda a, b: algebra.op("mul", a, b)
-    for a, b, c in iproduct(range(size), repeat=3):
-        if mul_of(mul_of(a, b), c) != mul_of(a, mul_of(b, c)):
-            raise LawViolationError(f"{name}: multiplication not associative at ({a},{b},{c})")
-        if mul_of(a, algebra.add_of(b, c)) != algebra.add_of(mul_of(a, b), mul_of(a, c)):
-            raise LawViolationError(f"{name}: left distributivity fails at ({a},{b},{c})")
-        if mul_of(algebra.add_of(a, b), c) != algebra.add_of(mul_of(a, c), mul_of(b, c)):
-            raise LawViolationError(f"{name}: right distributivity fails at ({a},{b},{c})")
+    # Local arrays: the algebra's own view is built on first use, not here.
+    plus = _read_only(algebra.add, (size, size))
+    times = _read_only(algebra.omega[0].table, (size, size))
+    failure = _first_failure(size, size, lambda a: plus[a] != plus[:, a].T)
+    if failure:
+        raise LawViolationError(f"{name}: ring addition not commutative at {_args(failure)}")
+
+    def failures(a: np.ndarray) -> np.ndarray:
+        a, b, c = a[:, None, None], np.arange(size)[:, None], np.arange(size)
+        ab, ac, bc = times[a, b], times[a, c], times[b, c]
+        return np.stack(
+            [
+                times[ab, c] != times[a, bc],
+                times[a, plus[b, c]] != plus[ab, ac],
+                times[plus[a, b], c] != plus[ac, bc],
+            ],
+            axis=-1,
+        )
+
+    laws = ["multiplication not associative", "left distributivity fails",
+            "right distributivity fails"]
+    failure = _first_failure(size, 3 * size * size, failures)
+    if failure:
+        raise LawViolationError(f"{name}: {laws[failure[3]]} at {_args(failure[:3])}")
     return algebra
 
 
@@ -356,26 +393,45 @@ def as_lie_ring(
     algebra = validate_algebra(
         name, size, add, [("bracket", 2, bracket)] + scalars, kind="lie-ring"
     )
-    br = lambda a, b: algebra.op("bracket", a, b)
-    for a in range(size):
-        for b in range(size):
-            if algebra.add_of(a, b) != algebra.add_of(b, a):
-                raise LawViolationError(f"{name}: addition not commutative at ({a},{b})")
-        acc = 0
+    plus = _read_only(algebra.add, (size, size))
+    br = _read_only(algebra.omega[0].table, (size, size))
+
+    def pair_failures(a: np.ndarray) -> np.ndarray:
+        # At each a: commutativity with every b, then the exponent, then alternation.
+        multiple = np.zeros_like(a)
         for _ in range(p):
-            acc = algebra.add_of(acc, a)
-        if acc != 0:
+            multiple = plus[multiple, a]
+        return np.concatenate(
+            [plus[a] != plus[:, a].T, (multiple != 0)[:, None], (br[a, a] != 0)[:, None]], axis=1
+        )
+
+    failure = _first_failure(size, size + 2, pair_failures)
+    if failure:
+        a, check = failure
+        if check < size:
+            raise LawViolationError(f"{name}: addition not commutative at {_args(failure)}")
+        if check == size:
             raise LawViolationError(f"{name}: additive exponent is not {p} at {a}")
-        if br(a, a) != 0:
-            raise LawViolationError(f"{name}: bracket not alternating at {a}")
-    for a, b, c in iproduct(range(size), repeat=3):
-        if br(algebra.add_of(a, b), c) != algebra.add_of(br(a, c), br(b, c)):
-            raise LawViolationError(f"{name}: bracket not additive on the left at ({a},{b},{c})")
-        if br(a, algebra.add_of(b, c)) != algebra.add_of(br(a, b), br(a, c)):
-            raise LawViolationError(f"{name}: bracket not additive on the right at ({a},{b},{c})")
-        jac = algebra.add_of(algebra.add_of(br(a, br(b, c)), br(b, br(c, a))), br(c, br(a, b)))
-        if jac != 0:
-            raise LawViolationError(f"{name}: Jacobi identity fails at ({a},{b},{c})")
+        raise LawViolationError(f"{name}: bracket not alternating at {a}")
+
+    def failures(a: np.ndarray) -> np.ndarray:
+        a, b, c = a[:, None, None], np.arange(size)[:, None], np.arange(size)
+        ab, ac, bc = br[a, b], br[a, c], br[b, c]
+        jacobi = plus[plus[br[a, bc], br[b, br[c, a]]], br[c, ab]]
+        return np.stack(
+            [
+                br[plus[a, b], c] != plus[ac, bc],
+                br[a, plus[b, c]] != plus[ab, ac],
+                jacobi != 0,
+            ],
+            axis=-1,
+        )
+
+    laws = ["bracket not additive on the left", "bracket not additive on the right",
+            "Jacobi identity fails"]
+    failure = _first_failure(size, 3 * size * size, failures)
+    if failure:
+        raise LawViolationError(f"{name}: {laws[failure[3]]} at {_args(failure[:3])}")
     return algebra
 
 

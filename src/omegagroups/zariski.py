@@ -13,10 +13,15 @@ semi-naive fixed point of ``closures._step`` on rows: each round applies
 every operation to the tuples of rows that touch the frontier (the rows the
 previous round added), split by the position j of their first frontier row,
 with older rows before j and any row after it, so each tuple is formed once.
-Tuples are formed in blocks of a few million entries; each round's values are
-sorted, deduplicated and appended.  The callers differ only in data: the
-operations, the start rows, a row cap, a round limit (the bounded-depth
-oracle) and an early-exit predicate (the per-candidate separator search).
+Tuples are formed in blocks of a few million entries.  The rows seen so far
+are one exact set, ``_RowSet``: each row is packed into one or a few 64-bit
+words and the set keeps the packed keys sorted, so a round's values are
+packed, sorted, matched against the seen keys by binary search and merged
+in, and the new keys unpacked to form the next frontier.  The callers differ
+only in data: the operations, the start rows, a row cap, a round limit (the
+bounded-depth oracle) and an early-exit predicate (the per-candidate
+separator search).  Multiadditive algebras grow their tables as an additive
+span instead, through the same set.
 
 One candidate loop, ``_closure_members``, serves ``zariski_closure``,
 ``closure_excess_point`` and ``point_in_closure``.  It yields the closure's
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -167,37 +173,159 @@ def _op_values(op: np.ndarray, axes: list[np.ndarray]) -> Iterator[np.ndarray]:
             yield flat[idx].reshape(-1, k)
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Row dedup via a word view and lexsort; np.unique(axis=0) is too slow here."""
-    if rows.shape[0] <= 1:
-        return rows
-    k = rows.shape[1]
-    pad = (-k) % 8
-    if pad:
-        padded = np.zeros((rows.shape[0], k + pad), dtype=np.uint8)
-        padded[:, :k] = rows
-    else:
-        padded = np.ascontiguousarray(rows)
-    words = padded.view(np.uint64).reshape(rows.shape[0], -1)
-    order = np.lexsort(words.T[::-1])
-    sorted_words = words[order]
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = (sorted_words[1:] != sorted_words[:-1]).any(axis=1)
-    return rows[order][keep]
+def _lanes(width: int, field: int) -> np.uint64:
+    """The word with the low `field` bits of every `width`-bit lane set."""
+    return np.uint64(sum(((1 << field) - 1) << i for i in range(0, 64, width)))
 
 
-def _dedup_against(rows: np.ndarray, seen: set[bytes]) -> np.ndarray:
-    fresh = []
-    for row in rows:
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            fresh.append(row)
-    return (
-        np.array(fresh, dtype=np.uint8)
-        if fresh
-        else np.empty((0, rows.shape[1]), dtype=np.uint8)
-    )
+# For cells of 1, 2 or 4 bits, packing step i merges pairs of (8 << i)-bit
+# lanes that hold (bits << i) bits each: (shift, mask) of each step, and of
+# its inverse, the unpacking steps in reverse order.
+_PACK_STEPS = {
+    bits: [(8 << i, bits << i) for i in range(4 - bits.bit_length())] for bits in (1, 2, 4, 8)
+}
+_MERGES = {
+    bits: [(np.uint64(lane - field), _lanes(2 * lane, 2 * field)) for lane, field in steps]
+    for bits, steps in _PACK_STEPS.items()
+}
+_SPLITS = {
+    bits: [(np.uint64(lane - field), _lanes(lane, field)) for lane, field in steps[::-1]]
+    for bits, steps in _PACK_STEPS.items()
+}
+
+
+_FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it is a bijection
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """One uint64 per row of a (N, W) uint64 array.
+
+    With the other words fixed, each word maps to the fold one to one, so
+    rows that differ in one word never collide.
+    """
+    folded = words[:, 0].copy()
+    for i in range(1, words.shape[1]):
+        folded *= _FOLD
+        folded ^= words[:, i]
+    return folded
+
+
+class _Collision(Exception):
+    """Two different keys of a set share a fold."""
+
+
+class _RowSet:
+    """An exact set of rows of `width` cells, each at most `top`, as sorted keys.
+
+    A row's cells are packed into bytes and the bytes padded to whole 64-bit
+    words.  A cell takes 1, 2, 4 or 8 bits: the widest that keeps the key at
+    the fewest words, since wider cells take fewer packing steps.  Cells are
+    packed eight at a time, one uint64 word of cells, by merging pairs of
+    lanes with shifts and masks.  A row of one word is keyed by that word as
+    a uint64, a wider row by its words as one opaque (void) key.
+
+    `order` holds the sort keys the set is sorted and searched by: the keys
+    themselves, or, for keys of several words, their folds (_fold), which
+    sort and search as fast as one word.  Equal folds are checked to be
+    equal keys; the first pair that is not turns the set, for good, to
+    sorting its keys bytewise as they are.
+    """
+
+    def __init__(self, width: int, top: int):
+        fits = [bits for bits in (1, 2, 4, 8) if top >> bits == 0]
+        words = max(1, -(-width * fits[0] // 64))
+        self.bits = max(bits for bits in fits if width * bits <= 64 * words)
+        self.width = width
+        self.dtype = np.dtype(np.uint64) if words == 1 else np.dtype(f"V{8 * words}")
+        self.lane = f"<u{8 // self.bits}"  # packed, each such lane holds one key byte
+        self.keys = np.empty(0, dtype=self.dtype)
+        self.folded = words > 1
+        self.order = np.empty(0, dtype=np.uint64) if self.folded else self.keys
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """One key per row of a uint8 array shaped (N, width)."""
+        cells = np.zeros((rows.shape[0], 8 * self.dtype.itemsize // self.bits), dtype=np.uint8)
+        cells[:, : self.width] = rows
+        x = cells.view("<u8")
+        for shift, mask in _MERGES[self.bits]:
+            x |= x >> shift
+            x &= mask
+        return x.view(self.lane).astype(np.uint8, copy=False).view(self.dtype).ravel()
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of the keys, as a uint8 array shaped (N, width)."""
+        packed = keys.view(np.uint8).reshape(len(keys), self.dtype.itemsize)
+        x = packed.astype(self.lane, copy=False).view("<u8")
+        for shift, mask in _SPLITS[self.bits]:
+            x |= x << shift
+            x &= mask
+        return x.view(np.uint8)[:, : self.width]
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """A boolean mask: which keys are in the set."""
+        return self._exact(lambda: self._contains(keys, self._order(keys)))
+
+    def missing(self, keys: np.ndarray) -> np.ndarray:
+        """The distinct keys not in the set, in the set's order."""
+        return self._exact(lambda: self._missing(keys))[0]
+
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """Add the keys; returns those that were new, distinct and in order."""
+        new, order = self._exact(lambda: self._missing(keys))
+        # A stable sort of two sorted runs is a linear merge.
+        if self.folded:
+            order = np.concatenate([self.order, order])
+            merged = np.argsort(order, kind="stable")
+            self.keys, self.order = np.concatenate([self.keys, new])[merged], order[merged]
+        else:
+            self.keys = self.order = np.sort(np.concatenate([self.keys, new]), kind="stable")
+        return new
+
+    def _exact(self, query):
+        try:
+            return query()
+        except _Collision:
+            self.folded = False
+            self.keys = self.order = np.sort(self.keys)
+            return query()
+
+    def _order(self, keys: np.ndarray) -> np.ndarray:
+        if not self.folded:
+            return keys
+        return _fold(keys.view("<u8").reshape(len(keys), self.dtype.itemsize // 8))
+
+    def _contains(self, keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=bool)
+        # The last sort key <= each one; index -1 (the largest) when there is none.
+        at = np.searchsorted(self.order, order, side="right") - 1
+        found = self.order[at] == order
+        if self.folded and (self.keys[at[found]] != keys[found]).any():
+            raise _Collision
+        return found
+
+    def _missing(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = self._order(keys)
+        if self.folded:
+            by = np.argsort(order)
+            keys, order = keys[by], order[by]
+        else:
+            keys = order = np.sort(keys)
+        repeats = order[1:] == order[:-1]
+        if self.folded and (keys[1:][repeats] != keys[:-1][repeats]).any():
+            raise _Collision
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = ~repeats
+        keys, order = keys[distinct], order[distinct]
+        new = ~self._contains(keys, order)
+        return keys[new], order[new]
+
+
+def _round_values(ops, older: np.ndarray, frontier: np.ndarray, rows: np.ndarray):
+    """The blocks of one round: every op on the tuples touching the frontier."""
+    for op in ops:
+        for j in range(op.ndim):
+            yield from _op_values(op, [older] * j + [frontier] + [rows] * (op.ndim - 1 - j))
 
 
 def _close_rows(
@@ -209,33 +337,47 @@ def _close_rows(
 ) -> tuple[np.ndarray, bool]:
     """Close the start rows under ops (arrays shaped (n,)*arity), componentwise.
 
-    Returns (rows, stopped).  The start rows are deduplicated and form the
-    first frontier; each round forms the values on the tuples touching it
-    (module docstring) and keeps the new ones, sorted, as the next frontier.
-    At most `steps` rounds run.  `stop` sees the start rows and then every
-    block of values; when it returns True the search ends with the rows
-    kept so far.  More than row_cap rows raise _GridOverflow.
+    Returns (rows, stopped).  The distinct start rows form the first
+    frontier; each round forms the values on the tuples touching it (module
+    docstring) and keeps the new ones, in the set's order, as the next
+    frontier.  Once about _BLOCK_ENTRIES entries of values have gathered,
+    they are packed and their unseen keys added to the round's own set, so a
+    round holds distinct new keys, not every tuple it forms.  At most `steps`
+    rounds run.  `stop` sees the start rows and then every block of values;
+    when it returns True the search ends with the rows kept so far.  More
+    than row_cap rows raise _GridOverflow at the end of the round that
+    passes the cap; once the round's new keys alone pass it, the rest of the
+    round is only shown to `stop`.
     """
-    seen: set[bytes] = set()
-    rows = frontier = _dedup_against(start, seen)
+    top = max([int(start.max(initial=0))] + [int(op.max()) for op in ops])
+    seen = _RowSet(start.shape[1], top)
+    rows = frontier = seen.unpack(seen.add(seen.pack(start)))
     if stop is not None and stop(frontier):
         return rows, True
     rounds = 0
-    while frontier.size and (steps is None or rounds < steps):
+    while len(frontier) and (steps is None or rounds < steps):
         rounds += 1
         older = rows[: len(rows) - len(frontier)]
-        blocks = []
-        for op in ops:
-            arity = op.ndim
-            for j in range(arity):
-                axes = [older] * j + [frontier] + [rows] * (arity - 1 - j)
-                for block in _op_values(op, axes):
-                    if stop is not None and stop(block):
-                        return rows, True
-                    blocks.append(block)
-        merged = _unique_rows(np.concatenate(blocks)) if blocks else rows[:0]
-        frontier = _dedup_against(merged, seen)
-        if frontier.size:
+        found = _RowSet(seen.width, top)
+        batch, volume, overflow = [], 0, False
+        for block in _round_values(ops, older, frontier, rows):
+            if stop is not None and stop(block):
+                return rows, True
+            if overflow:
+                continue
+            batch.append(block)
+            volume += block.size
+            if volume >= _BLOCK_ENTRIES:
+                found.add(seen.missing(seen.pack(np.concatenate(batch))))
+                batch, volume = [], 0
+                overflow = row_cap is not None and len(rows) + len(found.keys) > row_cap
+                if overflow and stop is None:
+                    break
+        if overflow:
+            raise _GridOverflow(len(rows) + len(found.keys))
+        last = seen.pack(np.concatenate(batch)) if batch else found.keys[:0]
+        frontier = seen.unpack(seen.add(np.concatenate([found.keys, last])))
+        if len(frontier):
             rows = np.concatenate([rows, frontier])
             if row_cap is not None and rows.shape[0] > row_cap:
                 raise _GridOverflow(rows.shape[0])
@@ -263,39 +405,35 @@ def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
     return True
 
 
-def _span_extend(add: np.ndarray, rows: np.ndarray, vector: np.ndarray, seen, row_cap):
-    """Extend an additive span by all multiples of one vector (abelian add)."""
-    shifted = rows
-    out = [rows]
-    total = rows.shape[0]
-    while True:
-        shifted = add[shifted, vector].astype(np.uint8)
-        fresh = _dedup_against(_unique_rows(shifted), seen)
-        if not fresh.size:
-            break
-        out.append(fresh)
-        total += fresh.shape[0]
-        if total > row_cap:
-            raise _GridOverflow(total)
-    return np.concatenate(out)
-
-
 def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
     """Term-function table for multiadditive algebras.
 
     The monomial vectors are the closure of the projections under the extra
     operations alone (multiadditivity folds everything else into sums), and
-    the additive span is accumulated by repeated coset extension.
+    the table is their additive span S, grown by one monomial v at a time.
+    With m the least k >= 1 for which k*v lies in S, the cosets S + k*v for
+    0 < k < m are new and pairwise disjoint, and with S they make S + <v>.
     """
     view = algebra.arrays
-    monomials, _ = _close_rows(view.ops, gens, row_cap)
-    span_seen: set[bytes] = set()
-    span = _dedup_against(np.zeros((1, gens.shape[1]), dtype=np.uint8), span_seen)
-    for row in monomials:
-        for vec in (row, view.neg[row].astype(np.uint8)):
-            if vec.tobytes() not in span_seen:
-                span = _span_extend(view.add, span, vec, span_seen, row_cap)
-    return span
+    n, width = algebra.size, gens.shape[1]
+    monomials = _close_rows(view.ops, gens, row_cap)[0] if view.ops else gens
+    multiples = np.arange(n)[None]  # multiples[k - 1, a] = k*a, doubled up to k = n
+    while len(multiples) < n:
+        multiples = np.concatenate([multiples, view.add[multiples[-1], multiples]])
+    span = _RowSet(width, n - 1)
+    rows = np.zeros((1, width), dtype=np.uint8)
+    span.add(span.pack(rows))
+    for vec in monomials:
+        steps = multiples[:n, vec].astype(np.uint8)  # k*vec for k = 1..n; n*vec = 0
+        m = 1 + int(np.argmax(span.contains(span.pack(steps))))
+        if m == 1:
+            continue
+        if rows.shape[0] * m > row_cap:
+            raise _GridOverflow(rows.shape[0] * m)
+        cosets = view.add[rows[None], steps[: m - 1, None]].astype(np.uint8).reshape(-1, width)
+        span.add(span.pack(cosets))
+        rows = np.concatenate([rows, cosets])
+    return rows
 
 
 def _projection_rows(algebra: FiniteOmegaGroup, n_vars: int) -> np.ndarray:
@@ -372,23 +510,31 @@ def _worklist_membership(algebra, n_vars, pts: list[Point], cand: Point) -> bool
     return not separated
 
 
+@lru_cache(maxsize=64)
+def _prefilter_terms(signature: tuple[tuple[str, int], ...], n_vars: int) -> tuple[Term, ...]:
+    """The prefilter's seeded random terms, which depend on nothing else."""
+    rng = random.Random(_PREFILTER_SEED)
+    return tuple(
+        random_term(rng, signature, n_vars, PREFILTER_DEPTH) for _ in range(PREFILTER_TERMS)
+    )
+
+
 def _prefilter_separates(
     algebra, n_vars, pts: Sequence[Point], candidates: Sequence[Point]
 ) -> np.ndarray:
     """Sound one-sided filter: True marks candidates certainly outside.
 
-    Seeded random terms are evaluated over points and candidates together; a
-    term vanishing on every point and not at a candidate is a separating
-    certificate.  Misses prove nothing and fall through to the exact search.
+    Seeded random terms, drawn once per signature and arity, are evaluated
+    over points and candidates together; a term vanishing on every point and
+    not at a candidate is a separating certificate.  Misses prove nothing and
+    fall through to the exact search.
     """
     out = np.zeros(len(candidates), dtype=bool)
     if not candidates:
         return out
-    rng = random.Random(_PREFILTER_SEED)
     rows = list(pts) + list(candidates)
     n_pts = len(pts)
-    for _ in range(PREFILTER_TERMS):
-        term = random_term(rng, algebra.signature, n_vars, PREFILTER_DEPTH)
+    for term in _prefilter_terms(algebra.signature, n_vars):
         values = term_values(algebra, term, n_vars, points=rows)
         if n_pts == 0 or not values[:n_pts].any():
             out |= values[n_pts:] != 0

@@ -7,17 +7,19 @@ import pytest
 from omegagroups.catalog import (
     cyclic_group,
     cyclic_ring,
+    dihedral_4,
     dual_numbers_f2,
     field_f4,
     klein_four_group,
     null_ring_klein,
     abelian_lie_f2,
+    quaternion_group,
 )
 from omegagroups import zariski
-from omegagroups.core import FiniteOmegaGroup, validate_algebra
+from omegagroups.core import FiniteOmegaGroup, direct_product, validate_algebra
 from omegagroups.domains import is_domain, zero_divisor_witness
 from omegagroups.errors import InvalidArgumentError, TooLargeError
-from omegagroups.terms import grid_points, parse_term, random_term
+from omegagroups.terms import grid_points, parse_term, random_term, term_values
 from omegagroups.zariski import (
     EquationSystem,
     bounded_depth_ideal_oracle,
@@ -237,6 +239,190 @@ def test_row_kernel_matches_naive_closure(monkeypatch):
             rows, stopped = zariski._close_rows(ops, start)
             assert not stopped and len({row.tobytes() for row in rows}) == len(rows)
             assert {tuple(int(x) for x in row) for row in rows} == naive_row_closure(ops, start)
+    # Wider rows over carriers whose cells pack into 1, 2, 4 and 8 bits, and
+    # rows of two words.  The start columns repeat a few column patterns, so
+    # the closure stays within n**patterns rows.
+    for n, width, patterns, op_arities in [
+        (2, 40, 4, [(2,), (1, 3)]),
+        (3, 20, 3, [(2,), (1, 3)]),
+        (5, 12, 2, [(2,), (1, 3)]),
+        (17, 3, 2, [(2,), (1, 2)]),
+        (5, 20, 2, [(2,), (1, 3)]),
+    ]:
+        rng = np.random.default_rng(n * width)
+        row_set = zariski._RowSet(width, n - 1)
+        assert row_set.bits == {2: 1, 3: 2, 5: 4, 17: 8}[n]
+        assert row_set.dtype.itemsize == (16 if (n, width) == (5, 20) else 8)
+        for block_entries in (zariski._BLOCK_ENTRIES, 7 * width):
+            monkeypatch.setattr(zariski, "_BLOCK_ENTRIES", block_entries)
+            for arities in op_arities:
+                ops = [rng.integers(0, n, size=(n,) * arity) for arity in arities]
+                ops = [np.where(rng.random(op.shape) < 0.5, 0, op) for op in ops]
+                columns = rng.integers(0, n, size=(2, patterns), dtype=np.uint8)
+                start = columns[:, rng.integers(0, patterns, size=width)]
+                rows, stopped = zariski._close_rows(ops, start)
+                assert not stopped and len({row.tobytes() for row in rows}) == len(rows)
+                assert {tuple(int(x) for x in row) for row in rows} == naive_row_closure(
+                    ops, start
+                ), (n, width, arities)
+
+
+ROW_SET_CARRIERS = [2, 3, 4, 5, 16, 17, 255, 256]
+
+
+def row_set_widths(n):
+    """Widths whose packed rows take 64 - b, 64, 64 + b, 128 and 128 + b bits."""
+    bits = next(b for b in (1, 2, 4, 8) if (n - 1) >> b == 0)
+    return bits, [64 // bits - 1, 64 // bits, 64 // bits + 1, 128 // bits, 128 // bits + 1]
+
+
+def check_row_set_against_a_python_set(n):
+    bits, widths = row_set_widths(n)
+    rng = np.random.default_rng(n)
+    for width in widths:
+        row_set = zariski._RowSet(width, n - 1)
+        assert row_set.bits >= bits and row_set.dtype.itemsize == 8 * -(-width * bits // 64)
+        seen = set()
+        for size in (0, 1, 1, 40, 300):
+            # Few distinct cell values, so that batches repeat rows and old ones.
+            rows = rng.choice([0, 1, n - 1], size=(size, width)).astype(np.uint8)
+            rows[: size // 2] = rows[size // 2 : 2 * (size // 2)]
+            keys = row_set.pack(rows)
+            assert np.array_equal(row_set.unpack(keys), rows)
+            assert row_set.contains(keys).tolist() == [row.tobytes() in seen for row in rows]
+            fresh = {row.tobytes() for row in rows} - seen
+            new_keys = row_set.add(keys)
+            new_rows = row_set.unpack(new_keys)
+            assert new_rows.shape == (len(fresh), width) and new_rows.dtype == np.uint8
+            assert {row.tobytes() for row in new_rows} == fresh
+            seen |= fresh
+            assert len(row_set.keys) == len(seen)
+            assert {row.tobytes() for row in row_set.unpack(row_set.keys)} == seen
+            # The set is sorted by its sort keys, which belong to its keys.
+            assert np.array_equal(np.sort(row_set.order), row_set.order)
+            assert np.array_equal(row_set._order(row_set.keys), row_set.order)
+            assert row_set.contains(keys).all()
+
+
+@pytest.mark.parametrize("n", ROW_SET_CARRIERS)
+def test_row_set_matches_a_python_set(n):
+    check_row_set_against_a_python_set(n)
+
+
+WIDE_TABLES = [(cyclic_group(17), 1), (quaternion_group(), 2), (dihedral_4(), 2),
+               (cyclic_group(7), 2)]
+
+
+@pytest.mark.parametrize(
+    "fold", [lambda words: np.zeros(len(words), dtype=np.uint64), lambda words: words[:, 0].copy()]
+)
+def test_row_set_stays_exact_when_folds_collide(monkeypatch, fold):
+    """Every fold equal, or the first word alone: colliding keys unfold the set."""
+    ring = direct_product(cyclic_ring(2), cyclic_ring(6))[0]  # worklist rows of two words
+    axes_points = axes(ring.size)
+
+    def answers():
+        monkeypatch.setattr(zariski, "_grid_cache", {})
+        tables = [
+            {row.tobytes() for row in term_function_table(algebra, n_vars)}
+            for algebra, n_vars in WIDE_TABLES
+        ]
+        verdict = equational_domain_check(ring)
+        witness = (verdict.witness["a"], verdict.witness["b"])
+        inside = point_in_closure(ring, 2, axes_points, witness, prefilter=False)
+        return tables, verdict, inside
+
+    expected = answers()
+    assert expected[2]
+    monkeypatch.setattr(zariski, "_fold", fold)
+    assert answers() == expected
+    for n in (2, 5, 17):
+        check_row_set_against_a_python_set(n)
+    row_set = zariski._RowSet(20, 4)
+    row_set.add(row_set.pack(np.eye(20, dtype=np.uint8)))
+    assert not row_set.folded
+
+
+def test_close_rows_without_operations_keeps_the_distinct_start_rows():
+    start = np.array([[3, 0, 1], [0, 0, 0], [3, 0, 1]], dtype=np.uint8)
+    rows, stopped = zariski._close_rows([], start)
+    assert not stopped
+    assert sorted(map(tuple, rows.tolist())) == [(0, 0, 0), (3, 0, 1)]
+    rows, stopped = zariski._close_rows([], start[:0])
+    assert not stopped and rows.shape == (0, 3)
+    rows, stopped = zariski._close_rows([], start[:1], stop=lambda block: bool(block.any()))
+    assert stopped and rows.tolist() == [[3, 0, 1]]
+
+
+MULTIADDITIVE = [
+    (cyclic_group(6), 1),
+    (cyclic_group(3), 2),
+    (klein_four_group(), 2),
+    (cyclic_ring(4), 1),
+    (cyclic_ring(5), 1),
+    (cyclic_ring(2), 3),
+    (field_f4(), 1),
+    (dual_numbers_f2(), 1),
+    (null_ring_klein(), 2),
+    (abelian_lie_f2(), 2),
+]
+
+
+def test_spanning_tables_match_the_subalgebra_closure():
+    for algebra, n_vars in MULTIADDITIVE:
+        assert zariski._is_multiadditive(algebra)
+        start = zariski._projection_rows(algebra, n_vars)
+        spanned = zariski._grid_table_spanning(algebra, start[1:], zariski.GRID_ROW_CAP)
+        closed, _ = zariski._close_rows(zariski._signature_ops(algebra), start)
+        assert len({row.tobytes() for row in spanned}) == len(spanned)
+        assert {row.tobytes() for row in spanned} == {row.tobytes() for row in closed}
+        # The span overflows exactly when it has more rows than the cap.
+        cap = len(spanned)
+        assert len(zariski._grid_table_spanning(algebra, start[1:], cap)) == cap
+        with pytest.raises(zariski._GridOverflow):
+            zariski._grid_table_spanning(algebra, start[1:], cap - 1)
+
+
+def reference_prefilter(algebra, n_vars, pts, candidates):
+    """The prefilter drawing its seeded terms afresh on every call."""
+    out = np.zeros(len(candidates), dtype=bool)
+    if not candidates:
+        return out
+    rng = random.Random(zariski._PREFILTER_SEED)
+    rows = list(pts) + list(candidates)
+    n_pts = len(pts)
+    for _ in range(zariski.PREFILTER_TERMS):
+        term = random_term(rng, algebra.signature, n_vars, zariski.PREFILTER_DEPTH)
+        values = term_values(algebra, term, n_vars, points=rows)
+        if n_pts == 0 or not values[:n_pts].any():
+            out |= values[n_pts:] != 0
+        if out.all():
+            break
+    return out
+
+
+def test_prefilter_terms_are_drawn_once():
+    zariski._prefilter_terms.cache_clear()
+    for algebra in SMALL_FOUR:
+        for n_vars in (1, 2, 3):
+            rng = random.Random(zariski._PREFILTER_SEED)
+            fresh = tuple(
+                random_term(rng, algebra.signature, n_vars, zariski.PREFILTER_DEPTH)
+                for _ in range(zariski.PREFILTER_TERMS)
+            )
+            cached = zariski._prefilter_terms(algebra.signature, n_vars)
+            assert cached == fresh
+            assert zariski._prefilter_terms(algebra.signature, n_vars) is cached
+    rng = random.Random(12)
+    for algebra in SMALL_FOUR:
+        cells = list(grid_points(algebra.size, 2))
+        for _ in range(6):
+            pts = sorted(rng.sample(cells, rng.randint(0, 4)))
+            candidates = [cell for cell in cells if cell not in pts]
+            assert np.array_equal(
+                zariski._prefilter_separates(algebra, 2, pts, candidates),
+                reference_prefilter(algebra, 2, pts, candidates),
+            ), (algebra.name, pts)
 
 
 def test_oracle_agreement_on_guarded_instances():
