@@ -30,36 +30,30 @@ test suite:
 
 * a cached table of all term functions on the full grid H^n (used on small
   grids), from which a closure query is a couple of row filters, or
-* per-candidate worklists: the zero point lies in every closure, a seeded
-  random-term prefilter drops the candidates it separates, and a closure of
-  product rows that stops at the first separating row decides each of the
-  rest.
+* per-candidate worklists: the zero point lies in every closure, and a
+  closure of product rows that stops at the first separating row decides
+  each other candidate.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import FiniteOmegaGroup
+from .core import FiniteOmegaGroup, _first_failure
 from .domains import WitnessedVerdict
 from .errors import InvalidArgumentError, TooLargeError
-from .terms import Term, _coordinate_vectors, grid_points, random_term, term_values
+from .terms import Term, _coordinate_vectors, grid_points, term_values
 
 DEFAULT_POINT_GUARD = 10**6
 ROW_CARRIER_LIMIT = 256  # rows of product tuples are uint8
 GRID_CELL_LIMIT = 16
 GRID_ROW_CAP = 500_000
 WORKLIST_ROW_CAP = 2_000_000
-PREFILTER_TERMS = 160
-PREFILTER_DEPTH = 4
-_PREFILTER_SEED = 0x5EED
 
 Point = tuple[int, ...]
 
@@ -386,7 +380,7 @@ def _close_rows(
 
 # --- term-function tables (grid route) --------------------------------------
 
-_grid_cache: dict[tuple[FiniteOmegaGroup, int], np.ndarray | None] = {}
+_grid_cache: dict[tuple[FiniteOmegaGroup, int, int], np.ndarray | None] = {}
 
 
 def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
@@ -398,10 +392,13 @@ def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
     for op in view.ops:
         for slot in range(op.ndim):
             moved = np.moveaxis(op, slot, 0)
-            for a in range(algebra.size):
-                # w(.., a + b, ..) == w(.., a, ..) + w(.., b, ..) for every b
-                if not (moved[add[a]] == add[moved[a], moved]).all():
-                    return False
+            # w(.., a + b, ..) == w(.., a, ..) + w(.., b, ..) for every a and b
+            if _first_failure(
+                algebra.size,
+                op.size,
+                lambda a: moved[add[a]] != add[moved[a][:, None], moved[None]],
+            ):
+                return False
     return True
 
 
@@ -449,10 +446,11 @@ def term_function_table(
 
     Returns None when generation would exceed row_cap (the clone is too big
     to materialize, e.g. over functionally complete algebras).  Results are
-    cached per (algebra, n_vars).
+    cached per (algebra, n_vars, row_cap), so a table refused under one cap
+    is not refused under another.
     """
     _check_carrier(algebra)
-    key = (algebra, n_vars)
+    key = (algebra, n_vars, row_cap)
     if key in _grid_cache:
         return _grid_cache[key]
     start = _projection_rows(algebra, n_vars)
@@ -510,39 +508,6 @@ def _worklist_membership(algebra, n_vars, pts: list[Point], cand: Point) -> bool
     return not separated
 
 
-@lru_cache(maxsize=64)
-def _prefilter_terms(signature: tuple[tuple[str, int], ...], n_vars: int) -> tuple[Term, ...]:
-    """The prefilter's seeded random terms, which depend on nothing else."""
-    rng = random.Random(_PREFILTER_SEED)
-    return tuple(
-        random_term(rng, signature, n_vars, PREFILTER_DEPTH) for _ in range(PREFILTER_TERMS)
-    )
-
-
-def _prefilter_separates(
-    algebra, n_vars, pts: Sequence[Point], candidates: Sequence[Point]
-) -> np.ndarray:
-    """Sound one-sided filter: True marks candidates certainly outside.
-
-    Seeded random terms, drawn once per signature and arity, are evaluated
-    over points and candidates together; a term vanishing on every point and
-    not at a candidate is a separating certificate.  Misses prove nothing and
-    fall through to the exact search.
-    """
-    out = np.zeros(len(candidates), dtype=bool)
-    if not candidates:
-        return out
-    rows = list(pts) + list(candidates)
-    n_pts = len(pts)
-    for term in _prefilter_terms(algebra.signature, n_vars):
-        values = term_values(algebra, term, n_vars, points=rows)
-        if n_pts == 0 or not values[:n_pts].any():
-            out |= values[n_pts:] != 0
-        if out.all():
-            break
-    return out
-
-
 def _point_set(algebra, n_vars, points, method="auto", guard=None) -> set[Point]:
     """The validated point set; every argument is checked before any search."""
     if method not in ("auto", "grid", "percandidate"):
@@ -554,7 +519,7 @@ def _point_set(algebra, n_vars, points, method="auto", guard=None) -> set[Point]
 
 
 def _closure_members(
-    algebra, n_vars, pts: set[Point], method="auto", prefilter=True, candidates=None
+    algebra, n_vars, pts: set[Point], method="auto", candidates=None
 ) -> Iterator[Point]:
     """Yield, in lexicographic order, the points outside pts in their closure.
 
@@ -578,13 +543,8 @@ def _closure_members(
     if not any(candidates[0]):
         yield candidates.pop(0)  # every term function vanishes at the zero point
     sorted_pts = sorted(pts)
-    separated = (
-        _prefilter_separates(algebra, n_vars, sorted_pts, candidates)
-        if prefilter
-        else np.zeros(len(candidates), dtype=bool)
-    )
-    for cand, out in zip(candidates, separated):
-        if not out and _worklist_membership(algebra, n_vars, sorted_pts, cand):
+    for cand in candidates:
+        if _worklist_membership(algebra, n_vars, sorted_pts, cand):
             yield cand
 
 
@@ -593,15 +553,15 @@ def point_in_closure(
     n_vars: int,
     points: Iterable[Point],
     candidate: Point,
-    prefilter: bool = True,
 ) -> bool:
     """Decide whether candidate lies in the closure of the point set.
 
-    Always by the per-candidate route: prefilter, then one worklist.
+    Always by the per-candidate route: the zero point is in every closure,
+    and any other candidate outside the set is decided by one worklist.
     """
     pts = _point_set(algebra, n_vars, points)
     (cand,) = _validate_points(algebra, n_vars, [candidate])
-    found = _closure_members(algebra, n_vars, pts, prefilter=prefilter, candidates=[cand])
+    found = _closure_members(algebra, n_vars, pts, candidates=[cand])
     return cand in pts or next(found, None) is not None
 
 
@@ -611,11 +571,10 @@ def zariski_closure(
     points: Iterable[Point],
     method: str = "auto",
     guard: int = DEFAULT_POINT_GUARD,
-    prefilter: bool = True,
 ) -> frozenset[Point]:
     """Least algebraic superset of the point set."""
     pts = _point_set(algebra, n_vars, points, method, guard)
-    return frozenset(pts).union(_closure_members(algebra, n_vars, pts, method, prefilter))
+    return frozenset(pts).union(_closure_members(algebra, n_vars, pts, method))
 
 
 def is_algebraic(

@@ -3,8 +3,11 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagroups.catalog import (
+    build_catalog,
     cyclic_group,
     cyclic_ring,
     dihedral_4,
@@ -15,11 +18,11 @@ from omegagroups.catalog import (
     abelian_lie_f2,
     quaternion_group,
 )
-from omegagroups import zariski
+from omegagroups import core, zariski
 from omegagroups.core import FiniteOmegaGroup, direct_product, validate_algebra
 from omegagroups.domains import is_domain, zero_divisor_witness
 from omegagroups.errors import InvalidArgumentError, TooLargeError
-from omegagroups.terms import grid_points, parse_term, random_term, term_values
+from omegagroups.terms import grid_points, parse_term, random_term
 from omegagroups.zariski import (
     EquationSystem,
     bounded_depth_ideal_oracle,
@@ -98,8 +101,7 @@ def test_closure_methods_agree_on_seeded_sets(monkeypatch):
             pts = set(rng.sample(cells, rng.randint(0, min(5, len(cells)))))
             grid = zariski_closure(algebra, 2, pts, method="grid")
             per = zariski_closure(algebra, 2, pts, method="percandidate")
-            bare = zariski_closure(algebra, 2, pts, method="percandidate", prefilter=False)
-            assert grid == per == bare, (algebra.name, sorted(pts))
+            assert grid == per, (algebra.name, sorted(pts))
             excess = min(grid - pts, default=None)
             assert closure_excess_point(algebra, 2, pts) == excess  # grid route
             with monkeypatch.context() as patched:
@@ -107,6 +109,43 @@ def test_closure_methods_agree_on_seeded_sets(monkeypatch):
                 assert closure_excess_point(algebra, 2, pts) == excess
             for cand in {excess or (0, 0), max(cells), *sorted(pts)[:1]}:
                 assert point_in_closure(algebra, 2, pts, cand) == (cand in grid)
+
+
+CATALOG = {entry.name: entry.algebra for entry in build_catalog()}
+PRODUCT_GRIDS = sorted(
+    (left, right, n_vars)
+    for left, h1 in CATALOG.items()
+    for right, h2 in CATALOG.items()
+    for n_vars in (1, 2)
+    if left <= right
+    and h1.signature == h2.signature
+    and max(h1.size, h2.size) <= 4
+    and (h1.size * h2.size) ** n_vars <= zariski.GRID_CELL_LIMIT
+)
+
+
+@st.composite
+def small_grid_subsets(draw):
+    """A grid of at most 16 cells, a subset of it and a superset of that."""
+    if draw(st.booleans()):
+        algebra, n_vars = draw(st.sampled_from(SMALL_FOUR)), draw(st.sampled_from([1, 2]))
+    else:
+        left, right, n_vars = draw(st.sampled_from(PRODUCT_GRIDS))
+        algebra = direct_product(CATALOG[left], CATALOG[right])[0]
+    cells = st.sampled_from(list(grid_points(algebra.size, n_vars)))
+    pts = draw(st.sets(cells, max_size=6))
+    return algebra, n_vars, pts, pts | draw(st.sets(cells, max_size=3))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_grid_subsets())
+def test_per_candidate_closure_is_the_grid_closure_and_a_closure_operator(case):
+    algebra, n_vars, pts, more = case
+    closure = zariski_closure(algebra, n_vars, pts, method="grid")
+    assert zariski_closure(algebra, n_vars, pts, method="percandidate") == closure
+    assert pts <= closure
+    assert zariski_closure(algebra, n_vars, closure, method="percandidate") == closure
+    assert closure <= zariski_closure(algebra, n_vars, more, method="percandidate")
 
 
 def test_point_membership_matches_closure():
@@ -208,9 +247,8 @@ def test_closure_routes_agree_on_unary_and_ternary_signatures():
             pts = {cell for i, cell in enumerate(cells) if mask >> i & 1}
             grid = zariski_closure(algebra, n_vars, pts, method="grid")
             per = zariski_closure(algebra, n_vars, pts, method="percandidate")
-            bare = zariski_closure(algebra, n_vars, pts, method="percandidate", prefilter=False)
             oracle = bounded_depth_ideal_oracle(algebra, n_vars, pts, 4)
-            assert grid == per == bare == oracle, (algebra.name, sorted(pts))
+            assert grid == per == oracle, (algebra.name, sorted(pts))
 
 
 def naive_row_closure(ops, start):
@@ -329,7 +367,7 @@ def test_row_set_stays_exact_when_folds_collide(monkeypatch, fold):
         ]
         verdict = equational_domain_check(ring)
         witness = (verdict.witness["a"], verdict.witness["b"])
-        inside = point_in_closure(ring, 2, axes_points, witness, prefilter=False)
+        inside = point_in_closure(ring, 2, axes_points, witness)
         return tables, verdict, inside
 
     expected = answers()
@@ -368,6 +406,33 @@ MULTIADDITIVE = [
 ]
 
 
+def reference_is_multiadditive(algebra):
+    """The per-element loop: one check of every slot for each first argument a."""
+    add = algebra.arrays.add
+    if not (add == add.T).all():
+        return False
+    for op in algebra.arrays.ops:
+        for slot in range(op.ndim):
+            moved = np.moveaxis(op, slot, 0)
+            for a in range(algebra.size):
+                if not (moved[add[a]] == add[moved[a], moved]).all():
+                    return False
+    return True
+
+
+def test_multiadditive_scan_matches_the_loop(monkeypatch):
+    z4 = cyclic_ring(4)
+    one_off = list(z4.omega[0].table)
+    one_off[-1] = 0  # 3*3 = 0 breaks additivity at a few checks only
+    algebras = [algebra for algebra, _ in MULTIADDITIVE + unary_ternary_algebras()]
+    algebras += [*CATALOG.values(), validate_algebra("Z4-off", 4, z4.add, [("mul", 2, one_off)])]
+    expected = [reference_is_multiadditive(algebra) for algebra in algebras]
+    assert True in expected and False in expected
+    assert [zariski._is_multiadditive(algebra) for algebra in algebras] == expected
+    monkeypatch.setattr(core, "_LAW_BLOCK_ENTRIES", 7)  # blocks of one or a few first arguments
+    assert [zariski._is_multiadditive(algebra) for algebra in algebras] == expected
+
+
 def test_spanning_tables_match_the_subalgebra_closure():
     for algebra, n_vars in MULTIADDITIVE:
         assert zariski._is_multiadditive(algebra)
@@ -381,48 +446,6 @@ def test_spanning_tables_match_the_subalgebra_closure():
         assert len(zariski._grid_table_spanning(algebra, start[1:], cap)) == cap
         with pytest.raises(zariski._GridOverflow):
             zariski._grid_table_spanning(algebra, start[1:], cap - 1)
-
-
-def reference_prefilter(algebra, n_vars, pts, candidates):
-    """The prefilter drawing its seeded terms afresh on every call."""
-    out = np.zeros(len(candidates), dtype=bool)
-    if not candidates:
-        return out
-    rng = random.Random(zariski._PREFILTER_SEED)
-    rows = list(pts) + list(candidates)
-    n_pts = len(pts)
-    for _ in range(zariski.PREFILTER_TERMS):
-        term = random_term(rng, algebra.signature, n_vars, zariski.PREFILTER_DEPTH)
-        values = term_values(algebra, term, n_vars, points=rows)
-        if n_pts == 0 or not values[:n_pts].any():
-            out |= values[n_pts:] != 0
-        if out.all():
-            break
-    return out
-
-
-def test_prefilter_terms_are_drawn_once():
-    zariski._prefilter_terms.cache_clear()
-    for algebra in SMALL_FOUR:
-        for n_vars in (1, 2, 3):
-            rng = random.Random(zariski._PREFILTER_SEED)
-            fresh = tuple(
-                random_term(rng, algebra.signature, n_vars, zariski.PREFILTER_DEPTH)
-                for _ in range(zariski.PREFILTER_TERMS)
-            )
-            cached = zariski._prefilter_terms(algebra.signature, n_vars)
-            assert cached == fresh
-            assert zariski._prefilter_terms(algebra.signature, n_vars) is cached
-    rng = random.Random(12)
-    for algebra in SMALL_FOUR:
-        cells = list(grid_points(algebra.size, 2))
-        for _ in range(6):
-            pts = sorted(rng.sample(cells, rng.randint(0, 4)))
-            candidates = [cell for cell in cells if cell not in pts]
-            assert np.array_equal(
-                zariski._prefilter_separates(algebra, 2, pts, candidates),
-                reference_prefilter(algebra, 2, pts, candidates),
-            ), (algebra.name, pts)
 
 
 def test_oracle_agreement_on_guarded_instances():
@@ -511,6 +534,18 @@ def test_grid_table_known_sizes():
     assert term_function_table(null_ring_klein(), 2).shape[0] == 4
 
 
+def test_table_cache_keeps_each_row_cap_apart(monkeypatch):
+    monkeypatch.setattr(zariski, "_grid_cache", {})
+    z4r = cyclic_ring(4)
+    assert term_function_table(z4r, 1, row_cap=5) is None
+    assert len(zariski._grid_cache) == 1
+    table = term_function_table(z4r, 1)
+    assert table.shape[0] == 16 and len(zariski._grid_cache) == 2
+    assert term_function_table(z4r, 1) is table
+    assert term_function_table(z4r, 1, row_cap=5) is None
+    assert len(zariski._grid_cache) == 2
+
+
 def unvalidated_cyclic_group(n):
     """Z_n built without validate_algebra, whose cubic scan is slow at n > 256."""
     add = tuple((a + b) % n for a in range(n) for b in range(n))
@@ -547,3 +582,11 @@ def test_bad_arguments_are_value_errors_of_the_package():
             point_in_closure(z3, 2, [(1, 0)], candidate)
     with pytest.raises(ValueError):
         solve_system(z3, EquationSystem(0, ()))
+
+
+def test_closures_take_no_prefilter_argument():
+    z3 = cyclic_ring(3)
+    with pytest.raises(TypeError):
+        zariski_closure(z3, 2, [(1, 0)], prefilter=False)
+    with pytest.raises(TypeError):
+        point_in_closure(z3, 2, [(1, 0)], (1, 1), prefilter=False)
