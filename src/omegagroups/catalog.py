@@ -418,16 +418,11 @@ def _cross_check(cls: AlgebraClassification) -> list[str]:
     return out
 
 
-def run_classification(
-    entries: list[CatalogEntry] | None = None,
-    max_zariski_size: int = DEFAULT_ZARISKI_SIZE,
-) -> ClassificationReport:
-    """Classify every entry, compare against expectations, cross-check theorems."""
-    if entries is None:
-        entries = build_catalog()
+def run_classification(max_zariski_size: int = DEFAULT_ZARISKI_SIZE) -> ClassificationReport:
+    """Classify every catalog entry, compare against expectations, cross-check theorems."""
     algebras = []
     violations: list[str] = []
-    for entry in entries:
+    for entry in build_catalog():
         cls = classify_algebra(entry, max_zariski_size)
         algebras.append(cls)
         for name, outcome in cls.properties.items():

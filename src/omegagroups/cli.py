@@ -128,7 +128,6 @@ def parse_algebra_file(text: str) -> FiniteOmegaGroup:
             table.extend(_parse_int_row(lineno, line, size))
         omega.append((op_name, arity, table))
 
-    algebra = validate_algebra(name, size, add, omega)
     if not omega:
         return validate_algebra(name, size, add, (), kind="group")
     if len(omega) == 1 and omega[0][0] == "mul" and omega[0][1] == 2:
@@ -136,7 +135,7 @@ def parse_algebra_file(text: str) -> FiniteOmegaGroup:
             return as_ring(name, add, omega[0][2])
         except LawViolationError:
             pass
-    return algebra
+    return validate_algebra(name, size, add, omega)
 
 
 def serialize_algebra(algebra: FiniteOmegaGroup) -> str:

@@ -127,18 +127,17 @@ def is_anticommutative_exhaustive(
     return WitnessedVerdict(True, "ideal-scan")
 
 
-def is_c_anticommutative(
-    algebra: FiniteOmegaGroup, oracle_limit: int = C_ANTICOMMUTATIVE_ORACLE_LIMIT
-) -> WitnessedVerdict:
+def is_c_anticommutative(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
     """Every nonzero closed subgroup is anticommutative.
 
     Primary criterion: for all nonzero a, b the commutator group of the
-    generated subgroups is nontrivial.  For carriers within oracle_limit an
-    exhaustive subgroup scan re-decides the property; disagreement raises,
-    since it can only mean an implementation bug.
+    generated subgroups is nontrivial.  For carriers of at most
+    C_ANTICOMMUTATIVE_ORACLE_LIMIT elements an exhaustive subgroup scan
+    re-decides the property; disagreement raises, since it can only mean an
+    implementation bug.
     """
     verdict = _c_anticommutative_criterion(algebra)
-    if algebra.size <= oracle_limit:
+    if algebra.size <= C_ANTICOMMUTATIVE_ORACLE_LIMIT:
         oracle = _c_anticommutative_oracle(algebra)
         if oracle.verdict != verdict.verdict:
             raise OracleDisagreementError(

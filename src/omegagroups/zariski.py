@@ -380,7 +380,7 @@ def _close_rows(
 
 # --- term-function tables (grid route) --------------------------------------
 
-_grid_cache: dict[tuple[FiniteOmegaGroup, int, int], np.ndarray | None] = {}
+_grid_cache: dict[tuple[FiniteOmegaGroup, int], np.ndarray | None] = {}
 
 
 def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
@@ -439,26 +439,23 @@ def _projection_rows(algebra: FiniteOmegaGroup, n_vars: int) -> np.ndarray:
     return np.stack([np.zeros(algebra.size**n_vars, dtype=np.intp), *coords]).astype(np.uint8)
 
 
-def term_function_table(
-    algebra: FiniteOmegaGroup, n_vars: int, row_cap: int = GRID_ROW_CAP
-) -> np.ndarray | None:
+def term_function_table(algebra: FiniteOmegaGroup, n_vars: int) -> np.ndarray | None:
     """All term functions H^n_vars -> H as rows over the row-major grid.
 
-    Returns None when generation would exceed row_cap (the clone is too big
-    to materialize, e.g. over functionally complete algebras).  Results are
-    cached per (algebra, n_vars, row_cap), so a table refused under one cap
-    is not refused under another.
+    Returns None when generation would exceed GRID_ROW_CAP (the clone is too
+    big to materialize, e.g. over functionally complete algebras).  Results
+    are cached per (algebra, n_vars).
     """
     _check_carrier(algebra)
-    key = (algebra, n_vars, row_cap)
+    key = (algebra, n_vars)
     if key in _grid_cache:
         return _grid_cache[key]
     start = _projection_rows(algebra, n_vars)
     try:
         if _is_multiadditive(algebra):
-            table = _grid_table_spanning(algebra, start[1:], row_cap)
+            table = _grid_table_spanning(algebra, start[1:], GRID_ROW_CAP)
         else:
-            table, _ = _close_rows(_signature_ops(algebra), start, row_cap)
+            table, _ = _close_rows(_signature_ops(algebra), start, GRID_ROW_CAP)
     except _GridOverflow:
         table = None
     _grid_cache[key] = table
@@ -625,7 +622,16 @@ def enumerate_algebraic_sets(
 
     Join is closure of union, meet is intersection.  The report records
     whether join always equals plain union and whether the lattice is
-    distributive.
+    distributive, each with its first counterexample in row-major order of
+    the pairs (triples) of algebraic sets, taken in ascending mask order.
+
+    A point set is a bitmask over the row-major grid, cell i being bit i.
+    Every mask's closure is found once, in ascending order: a mask inside
+    the closure of itself less its lowest cell has that same closure (a
+    closure is monotone and idempotent), and any other mask is closed by one
+    pass of the candidate loop.  The algebraic sets are the masks equal to
+    their closures; the lattice laws are array operations on their pairwise
+    unions and intersections.
     """
     if n_vars == 1:
         if algebra.size > 8:
@@ -637,61 +643,46 @@ def enumerate_algebraic_sets(
         raise TooLargeError("algebraic-set enumeration supports n_vars in {1, 2}")
 
     cells = list(grid_points(algebra.size, n_vars))
-    algebraic: list[frozenset[Point]] = []
-    for mask in range(1 << len(cells)):
-        subset = frozenset(cells[i] for i in range(len(cells)) if mask >> i & 1)
-        closure = zariski_closure(algebra, n_vars, subset)
-        if closure == subset:
-            algebraic.append(subset)
+    closure: list[int] = []
+    for m in range(1 << len(cells)):
+        if m and m & closure[m & (m - 1)] == m:  # inside the closure of m less its lowest cell
+            closure.append(closure[m & (m - 1)])
+        else:
+            pts = {cell for i, cell in enumerate(cells) if m >> i & 1}
+            added = _closure_members(algebra, n_vars, pts)
+            closure.append(m | sum(1 << _cell_index(algebra, p) for p in added))
 
-    closure_of: dict[frozenset[Point], frozenset[Point]] = {}
-
-    def join(a: frozenset[Point], b: frozenset[Point]) -> frozenset[Point]:
-        u = a | b
-        if u not in closure_of:
-            closure_of[u] = zariski_closure(algebra, n_vars, u)
-        return closure_of[u]
-
-    algebraic_set = set(algebraic)
-    join_is_union = True
-    union_counterexample = None
-    intersection_closed = True
-    for a in algebraic:
-        for b in algebraic:
-            if (a | b) not in algebraic_set and join(a, b) != (a | b):
-                if join_is_union:
-                    union_counterexample = (a, b)
-                join_is_union = False
-            if (a & b) not in algebraic_set:
-                intersection_closed = False
-
-    distributive = True
-    distributivity_counterexample = None
-    if not join_is_union:
+    closure = np.array(closure)
+    closed = closure == np.arange(len(closure))
+    algebraic = np.nonzero(closed)[0]
+    unions = algebraic[:, None] | algebraic
+    not_union = ~closed[unions]
+    union_pair = distributivity_triple = None
+    if not_union.any():
+        union_pair = np.unravel_index(np.argmax(not_union), not_union.shape)
         # A union-closed family is a ring of sets, hence distributive; only
-        # lattices with a proper join need the cubic scan.
-        for a in algebraic:
-            for b in algebraic:
-                for c in algebraic:
-                    lhs = a & join(b, c)
-                    rhs = join(a & b, a & c)
-                    if lhs != rhs:
-                        distributive = False
-                        distributivity_counterexample = (a, b, c)
-                        break
-                if not distributive:
-                    break
-            if not distributive:
+        # lattices with a proper join need the scan.
+        joins = closure[unions]
+        for a, mask in enumerate(algebraic):
+            # a & join(b, c) against join(a & b, a & c), the closure of a & (b | c)
+            differ = (mask & joins) != closure[mask & unions]
+            if differ.any():
+                distributivity_triple = (a, *np.unravel_index(np.argmax(differ), differ.shape))
                 break
+
+    sets = [frozenset(cells[i] for i in range(len(cells)) if m >> i & 1) for m in algebraic]
+
+    def pick(indices):
+        return None if indices is None else tuple(sets[i] for i in indices)
 
     return LatticeReport(
         n_vars=n_vars,
-        algebraic_sets=tuple(sorted(algebraic, key=lambda s: (len(s), sorted(s)))),
-        join_equals_union=join_is_union,
-        union_counterexample=union_counterexample,
-        intersection_closed=intersection_closed,
-        distributive=distributive,
-        distributivity_counterexample=distributivity_counterexample,
+        algebraic_sets=tuple(sorted(sets, key=lambda s: (len(s), sorted(s)))),
+        join_equals_union=union_pair is None,
+        union_counterexample=pick(union_pair),
+        intersection_closed=bool(closed[algebraic[:, None] & algebraic].all()),
+        distributive=distributivity_triple is None,
+        distributivity_counterexample=pick(distributivity_triple),
     )
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from omegagroups.catalog import (
     build_catalog,
     catalog_algebra,
@@ -49,6 +51,11 @@ def test_full_run_has_no_violations():
     report = run_classification()
     assert report.violations == []
     assert len(report.algebras) == 19
+
+
+def test_classification_takes_no_entries():
+    with pytest.raises(TypeError):
+        run_classification(entries=[])
 
 
 def test_matrix_ring_skips_zariski_by_default():

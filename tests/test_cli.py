@@ -5,8 +5,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from omegagroups.catalog import cyclic_ring, symmetric_group_3
+from omegagroups.catalog import abelian_lie_f2, cyclic_ring, symmetric_group_3
 from omegagroups.cli import dispatch, parse_algebra_file, serialize_algebra
+from omegagroups.core import validate_algebra
 from omegagroups.errors import OmegaZeroViolationError, ParseError
 
 
@@ -67,6 +68,31 @@ def test_ring_kind_inference_requires_laws(tmp_path):
     lines += [" ".join("0" for _ in range(6)) for _ in range(6)]
     parsed = parse_algebra_file("\n".join(lines) + "\n")
     assert parsed.kind == "raw"  # noncommutative addition: not a ring
+
+
+def test_parse_validates_each_file_once(monkeypatch):
+    from omegagroups import cli, core
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return validate_algebra(*args, **kwargs)
+
+    monkeypatch.setattr(core, "validate_algebra", counted)  # read by as_ring
+    monkeypatch.setattr(cli, "validate_algebra", counted)
+    s3 = serialize_algebra(symmetric_group_3()).rstrip()
+    not_a_ring = "\n".join([s3, "op mul 2"] + [" ".join("0" * 6)] * 6)
+    files = {
+        "group": (serialize_algebra(symmetric_group_3()), 1),
+        "ring": (serialize_algebra(cyclic_ring(4)), 1),
+        "raw": (serialize_algebra(abelian_lie_f2()), 1),
+        "raw-mul": (not_a_ring + "\n", 2),  # ring laws fail: validated once more as raw
+    }
+    for kind, (text, validations) in files.items():
+        calls.clear()
+        algebra = parse_algebra_file(text)
+        assert (algebra.kind, len(calls)) == (kind.split("-")[0], validations)
 
 
 def test_check_equational_domain_exit_codes(ring_files):

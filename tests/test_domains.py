@@ -65,6 +65,11 @@ def test_c_anticommutative_examples():
     assert not dual.verdict and dual.witness == {"a": 2, "b": 2}  # t annihilates itself
 
 
+def test_c_anticommutative_takes_no_oracle_limit():
+    with pytest.raises(TypeError):
+        is_c_anticommutative(cyclic_ring(3), oracle_limit=0)
+
+
 def test_formula5_examples():
     assert ring_satisfies_formula5(cyclic_ring(5)).verdict
     z4 = ring_satisfies_formula5(cyclic_ring(4))

@@ -527,6 +527,98 @@ def test_lattice_n2_guard_and_small_case():
         enumerate_algebraic_sets(matrix_ring_m2_f2(), 1)
 
 
+def reference_enumerate_algebraic_sets(algebra, n_vars):
+    """The lattice by one public closure call per subset and a memoized join."""
+    cells = list(grid_points(algebra.size, n_vars))
+    algebraic = []
+    for mask in range(1 << len(cells)):
+        subset = frozenset(cells[i] for i in range(len(cells)) if mask >> i & 1)
+        if zariski_closure(algebra, n_vars, subset) == subset:
+            algebraic.append(subset)
+
+    closure_of = {}
+
+    def join(a, b):
+        u = a | b
+        if u not in closure_of:
+            closure_of[u] = zariski_closure(algebra, n_vars, u)
+        return closure_of[u]
+
+    algebraic_set = set(algebraic)
+    join_is_union, union_counterexample, intersection_closed = True, None, True
+    for a in algebraic:
+        for b in algebraic:
+            if (a | b) not in algebraic_set and join(a, b) != (a | b):
+                if join_is_union:
+                    union_counterexample = (a, b)
+                join_is_union = False
+            if (a & b) not in algebraic_set:
+                intersection_closed = False
+
+    distributivity_counterexample = None
+    if not join_is_union:
+        distributivity_counterexample = next(
+            ((a, b, c) for a in algebraic for b in algebraic for c in algebraic
+             if a & join(b, c) != join(a & b, a & c)),
+            None,
+        )
+    return zariski.LatticeReport(
+        n_vars=n_vars,
+        algebraic_sets=tuple(sorted(algebraic, key=lambda s: (len(s), sorted(s)))),
+        join_equals_union=join_is_union,
+        union_counterexample=union_counterexample,
+        intersection_closed=intersection_closed,
+        distributive=distributivity_counterexample is None,
+        distributivity_counterexample=distributivity_counterexample,
+    )
+
+
+LATTICE_CASES = (
+    [(algebra, 1) for algebra in CATALOG.values() if algebra.size <= 8]
+    + [(make(n), 2) for make in (cyclic_group, cyclic_ring) for n in (2, 3)]
+    + unary_ternary_algebras()
+    + [(cyclic_ring(n), 1) for n in (6, 7, 8)]
+    + [
+        (direct_product(CATALOG[left], CATALOG[right])[0], 1)
+        for left in CATALOG
+        for right in CATALOG
+        if left <= right
+        and CATALOG[left].signature == CATALOG[right].signature
+        and CATALOG[left].size * CATALOG[right].size <= 8
+    ]
+)
+# Off-table cases: distributivity counterexamples (Z3-group^2, Z8-ring), a
+# union counterexample in a distributive lattice (Z6-ring) and a ternary op.
+OFF_TABLE_CASES = [(cyclic_group(3), 2), (cyclic_ring(8), 1), (cyclic_ring(6), 1),
+                   unary_ternary_algebras()[0]]
+
+
+def test_lattice_matches_the_reference(monkeypatch):
+    for name in ("zariski_closure", "closure_excess_point", "point_in_closure", "is_algebraic"):
+        monkeypatch.setattr(zariski, name, None)  # the lattice calls no public closure
+    reports = {}
+    for algebra, n_vars in LATTICE_CASES:
+        expected = reference_enumerate_algebraic_sets(algebra, n_vars)  # imported closure
+        assert enumerate_algebraic_sets(algebra, n_vars) == expected, (algebra.name, n_vars)
+        reports[algebra.name, n_vars] = expected
+    assert not reports["Z3-group", 2].distributive
+    assert not reports["Z8-ring", 1].distributive
+    assert not reports["Z6-ring", 1].join_equals_union and reports["Z6-ring", 1].distributive
+
+
+@pytest.mark.parametrize("route", ["percandidate", "overflow"])
+def test_lattice_off_the_table_matches_the_reference(monkeypatch, route):
+    expected = [reference_enumerate_algebraic_sets(*case) for case in OFF_TABLE_CASES]
+    monkeypatch.setattr(zariski, "_grid_cache", {})
+    if route == "percandidate":
+        monkeypatch.setattr(zariski, "GRID_CELL_LIMIT", 0)
+    else:
+        monkeypatch.setattr(zariski, "GRID_ROW_CAP", 3)
+    for (algebra, n_vars), report in zip(OFF_TABLE_CASES, expected):
+        assert enumerate_algebraic_sets(algebra, n_vars) == report, algebra.name
+    assert all(table is None for table in zariski._grid_cache.values())
+
+
 def test_grid_table_known_sizes():
     assert term_function_table(cyclic_ring(2), 2).shape[0] == 8
     assert term_function_table(cyclic_ring(3), 2).shape[0] == 3**8
@@ -534,16 +626,9 @@ def test_grid_table_known_sizes():
     assert term_function_table(null_ring_klein(), 2).shape[0] == 4
 
 
-def test_table_cache_keeps_each_row_cap_apart(monkeypatch):
-    monkeypatch.setattr(zariski, "_grid_cache", {})
-    z4r = cyclic_ring(4)
-    assert term_function_table(z4r, 1, row_cap=5) is None
-    assert len(zariski._grid_cache) == 1
-    table = term_function_table(z4r, 1)
-    assert table.shape[0] == 16 and len(zariski._grid_cache) == 2
-    assert term_function_table(z4r, 1) is table
-    assert term_function_table(z4r, 1, row_cap=5) is None
-    assert len(zariski._grid_cache) == 2
+def test_table_takes_no_row_cap_argument():
+    with pytest.raises(TypeError):
+        term_function_table(cyclic_ring(4), 1, row_cap=5)
 
 
 def unvalidated_cyclic_group(n):
