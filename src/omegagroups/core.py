@@ -73,6 +73,9 @@ class FiniteOmegaGroup:
     kind: str = "raw"
     _ops: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
     _arrays: TableArrays | None = field(default=None, repr=False, compare=False, hash=False)
+    # What the Zariski layer derives from the tables (multiadditivity, additive
+    # coordinates), each filled in on first use by zariski._derived.
+    _linear: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_ops", {op.name: op for op in self.omega})

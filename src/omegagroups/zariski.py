@@ -20,19 +20,27 @@ packed, sorted, matched against the seen keys by binary search and merged
 in, and the new keys unpacked to form the next frontier.  The callers differ
 only in data: the operations, the start rows, a row cap, a round limit (the
 bounded-depth oracle) and an early-exit predicate (the per-candidate
-separator search).  Multiadditive algebras grow their tables as an additive
-span instead, through the same set.
+separator search).  A round that would form more than _ROUND_ENTRIES
+entries is refused before it forms any.  Multiadditive algebras grow their
+tables as an additive span instead, through the same set.
 
 One candidate loop, ``_closure_members``, serves ``zariski_closure``,
 ``closure_excess_point`` and ``point_in_closure``.  It yields the closure's
-new points in lexicographic order by one of two routes, cross-checked in the
-test suite:
+new points in lexicographic order by one of three routes, cross-checked in
+the test suite:
 
 * a cached table of all term functions on the full grid H^n (used on small
-  grids), from which a closure query is a couple of row filters, or
-* per-candidate worklists: the zero point lies in every closure, and a
-  closure of product rows that stops at the first separating row decides
-  each other candidate.
+  grids), from which a closure query is a couple of row filters;
+* off the table, over multiadditive algebras (rings, Lie rings, abelian
+  groups), the linear route: the zero point lies in every closure, and
+  since every term function is a sum of monomials, one exact reduction of
+  the monomial rows over the additive group (a Howell form at each prime of
+  |H|) leaves rows spanning the term functions that vanish on the point
+  set, and the candidates where they all vanish are the closure.  When the
+  joint monomial rows grow too many, each candidate gets its own reduction;
+* off the table, over other algebras, per-candidate worklists: a closure of
+  product rows that stops at the first separating row decides each
+  candidate other than the zero point.
 """
 
 from __future__ import annotations
@@ -123,6 +131,7 @@ def solve_system(
 # --- the row-closure kernel ----------------------------------------------------
 
 _BLOCK_ENTRIES = 8_000_000  # entries of one block of operation values
+_ROUND_ENTRIES = 1 << 32  # entries of operation values one round may form
 
 
 class _GridOverflow(Exception):
@@ -341,7 +350,8 @@ def _close_rows(
     when it returns True the search ends with the rows kept so far.  More
     than row_cap rows raise _GridOverflow at the end of the round that
     passes the cap; once the round's new keys alone pass it, the rest of the
-    round is only shown to `stop`.
+    round is only shown to `stop`.  A round whose tuples would form more than
+    _ROUND_ENTRIES entries raises _GridOverflow before it forms any.
     """
     top = max([int(start.max(initial=0))] + [int(op.max()) for op in ops])
     seen = _RowSet(start.shape[1], top)
@@ -352,6 +362,13 @@ def _close_rows(
     while len(frontier) and (steps is None or rounds < steps):
         rounds += 1
         older = rows[: len(rows) - len(frontier)]
+        entries = seen.width * sum(
+            len(older) ** j * len(frontier) * len(rows) ** (op.ndim - 1 - j)
+            for op in ops
+            for j in range(op.ndim)
+        )
+        if entries > _ROUND_ENTRIES:
+            raise _GridOverflow(entries)
         found = _RowSet(seen.width, top)
         batch, volume, overflow = [], 0, False
         for block in _round_values(ops, older, frontier, rows):
@@ -383,8 +400,24 @@ def _close_rows(
 _grid_cache: dict[tuple[FiniteOmegaGroup, int], np.ndarray | None] = {}
 
 
+def _derived(algebra: FiniteOmegaGroup, name: str, build: Callable):
+    """build(algebra), kept with the algebra under `name` from its first use.
+
+    Threads racing on the first use each build an equal value and the last
+    store wins, as with ``algebra.arrays``.
+    """
+    facts = algebra._linear
+    if name not in facts:
+        facts[name] = build(algebra)
+    return facts[name]
+
+
 def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
     """Addition commutative and every extra operation additive in each slot."""
+    return _derived(algebra, "multiadditive", _scan_multiadditive)
+
+
+def _scan_multiadditive(algebra: FiniteOmegaGroup) -> bool:
     view = algebra.arrays
     add = view.add
     if not (add == add.T).all():
@@ -505,6 +538,152 @@ def _worklist_membership(algebra, n_vars, pts: list[Point], cand: Point) -> bool
     return not separated
 
 
+# --- the linear route (multiadditive algebras) --------------------------------
+
+_JOINT_ENTRIES = 1 << 18  # coordinates of the monomial rows of one joint reduction
+
+
+def _additive_coordinates(algebra: FiniteOmegaGroup) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Coordinates of an abelian (H, +): one (p, q, coords) per prime p of |H|.
+
+    (H, +) is split into cyclic factors of prime-power order.  For each p the
+    next generator is an element h whose order p^k modulo the factors found
+    so far is greatest, less an element b of those factors with p^k*b =
+    p^k*h, so that the factors stay a direct sum.  The split is checked to be
+    a bijection from the product of the factors onto H.  coords[x] holds the
+    digits of x in the factors of p, a digit of a factor of order p^k scaled
+    by q/p^k into Z/q, q the largest of those orders.  So x -> coords[x] is
+    additive, and x is 0 iff its coordinates are 0 at every prime.
+    """
+    view = algebra.arrays
+    n, add = algebra.size, view.add
+    multiples = np.zeros((n + 1, n), dtype=np.intp)  # multiples[m, x] = m*x
+    for m in range(1, n + 1):
+        multiples[m] = add[multiples[m - 1], np.arange(n)]
+    factors = []  # (p, order, generator)
+    rest = n
+    for p in range(2, n + 1):
+        powers = [1]
+        while rest % p == 0:
+            rest //= p
+            powers.append(powers[-1] * p)
+        if len(powers) == 1:
+            continue
+        part = np.nonzero(multiples[powers[-1]] == 0)[0]  # the elements of p-power order
+        span = np.zeros(n, dtype=bool)
+        span[0] = True
+        while span.sum() < len(part):
+            # The least p^k with p^k*x in the span, for each x of the part.
+            level = span[multiples[powers][:, part]].argmax(axis=0)
+            h, order = part[level.argmax()], powers[level.max()]
+            inside = np.nonzero(span)[0]
+            below = inside[np.argmax(multiples[order, inside] == multiples[order, h])]
+            generator = add[h, view.neg[below]]
+            factors.append((p, order, generator))
+            span[add[inside[:, None], multiples[:order, generator]].ravel()] = True
+    elements = np.zeros(1, dtype=np.intp)  # sums of digit multiples, row-major over the digits
+    for _, order, generator in factors:
+        elements = add[elements[:, None], multiples[:order, generator]].ravel()
+    if not np.array_equal(np.sort(elements), np.arange(n)):
+        raise AssertionError(f"{algebra.name}: the cyclic factors do not split (H, +)")
+    if not factors:
+        return ()
+    position = np.empty(n, dtype=np.intp)
+    position[elements] = np.arange(n)
+    digits = np.unravel_index(position, [order for _, order, _ in factors])
+    out = []
+    for prime in sorted({p for p, _, _ in factors}):
+        mine = [i for i, (p, _, _) in enumerate(factors) if p == prime]
+        q = max(factors[i][1] for i in mine)
+        coords = np.stack([digits[i] * (q // factors[i][1]) for i in mine], axis=1)
+        out.append((prime, q, coords))
+    return tuple(out)
+
+
+def _vanishing_span(rows: np.ndarray, lead: int, p: int, q: int) -> np.ndarray:
+    """Rows spanning the part of the Z/q-span of rows that is 0 on its first lead columns.
+
+    q is a power p^E of the prime p.  The lead columns are eliminated one at
+    a time, as in a Howell form: a row whose entry there has the least
+    p-valuation v is the pivot, every other row is cleared by a multiple of
+    it, and the pivot is replaced by p^(E-v) times itself, which is 0 there.
+    The vectors of the span that are 0 on the column are then exactly the
+    span of the rows.  Zero rows are dropped.
+    """
+    valuation = np.zeros(q, dtype=np.intp)
+    power = p
+    while power < q:
+        valuation[power::power] += 1
+        power *= p
+    valuation[0] = q  # above every valuation, so a zero entry is never a pivot
+    rows = rows[rows.any(axis=1)]
+    for j in range(lead):
+        if not len(rows):
+            break
+        column = rows[:, j]
+        i = int(np.argmin(valuation[column]))
+        if column[i] == 0:
+            continue
+        step = p ** int(valuation[column[i]])
+        pivot = rows[i].copy()
+        hit = column != 0
+        scale = column[hit] // step * pow(int(column[i]) // step, -1, q) % q
+        rows[hit] = (rows[hit] - scale[:, None] * pivot) % q
+        rows = np.concatenate([rows, (pivot * (q // step) % q)[None]])
+        rows = rows[rows.any(axis=1)]
+    return rows
+
+
+def _linear_membership(algebra, pts: list[Point], candidates: list[Point], row_cap: int):
+    """A boolean mask: which candidates lie in the closure of pts.
+
+    The algebra is multiadditive, so the term functions on the columns pts
+    + candidates are the additive span of the monomial rows, the closure of
+    the projections under the extra operations alone.  At each prime of |H|
+    the monomial rows in coordinates (_additive_coordinates) are reduced to
+    rows spanning the part of the span that vanishes on pts; a candidate is
+    in the closure iff those rows vanish at it at every prime.  More than
+    row_cap monomial rows raise _GridOverflow.
+    """
+    columns = np.array(pts + candidates, dtype=np.uint8).T
+    ops = algebra.arrays.ops
+    monomials = _close_rows(ops, columns, row_cap)[0] if ops else columns
+    inside = np.ones(len(candidates), dtype=bool)
+    for p, q, coords in _derived(algebra, "coordinates", _additive_coordinates):
+        k = coords.shape[1]
+        rows = coords[monomials].reshape(len(monomials), -1)
+        rows = _vanishing_span(rows, len(pts) * k, p, q)[:, len(pts) * k :]
+        inside &= ~rows.reshape(len(rows), len(candidates), k).any(axis=(0, 2))
+    return inside
+
+
+def _linear_members(algebra, pts: list[Point], candidates: list[Point]) -> Iterator[Point]:
+    """Yield, in order, the candidates in the closure of pts (multiadditive algebras).
+
+    One reduction decides every candidate while the joint monomial rows have
+    at most _JOINT_ENTRIES coordinates; past that, each candidate is decided
+    by its own reduction under the worklist's row cap.
+    """
+    if not candidates:
+        return
+    coordinates = _derived(algebra, "coordinates", _additive_coordinates)
+    width = (len(pts) + len(candidates)) * sum(coords.shape[1] for _, _, coords in coordinates)
+    try:
+        inside = _linear_membership(algebra, pts, candidates, _JOINT_ENTRIES // max(1, width))
+    except _GridOverflow:
+        for cand in candidates:
+            try:
+                (member,) = _linear_membership(algebra, pts, [cand], WORKLIST_ROW_CAP)
+            except _GridOverflow as exc:
+                raise TooLargeError(
+                    f"closure membership search exceeded {WORKLIST_ROW_CAP} monomial rows"
+                ) from exc
+            if member:
+                yield cand
+        return
+    yield from (cand for cand, member in zip(candidates, inside) if member)
+
+
 def _point_set(algebra, n_vars, points, method="auto", guard=None) -> set[Point]:
     """The validated point set; every argument is checked before any search."""
     if method not in ("auto", "grid", "percandidate"):
@@ -523,7 +702,9 @@ def _closure_members(
     Without `candidates` the whole grid is asked: the term-function table
     answers for method "grid", and for "auto" on grids of at most
     GRID_CELL_LIMIT cells whose table fits its cap.  Otherwise, and always
-    for given candidates (outside pts), each candidate is decided alone.
+    for given candidates (outside pts), the linear route decides the
+    candidates over a multiadditive algebra and a worklist each one alone
+    over any other.
     """
     total = algebra.size**n_vars
     if candidates is None:
@@ -540,6 +721,9 @@ def _closure_members(
     if not any(candidates[0]):
         yield candidates.pop(0)  # every term function vanishes at the zero point
     sorted_pts = sorted(pts)
+    if _is_multiadditive(algebra):
+        yield from _linear_members(algebra, sorted_pts, candidates)
+        return
     for cand in candidates:
         if _worklist_membership(algebra, n_vars, sorted_pts, cand):
             yield cand
@@ -553,8 +737,9 @@ def point_in_closure(
 ) -> bool:
     """Decide whether candidate lies in the closure of the point set.
 
-    Always by the per-candidate route: the zero point is in every closure,
-    and any other candidate outside the set is decided by one worklist.
+    Always by a per-candidate route: the zero point is in every closure, and
+    any other candidate outside the set is decided by one reduction of the
+    monomial rows over a multiadditive algebra, by one worklist otherwise.
     """
     pts = _point_set(algebra, n_vars, points)
     (cand,) = _validate_points(algebra, n_vars, [candidate])
@@ -703,5 +888,8 @@ def bounded_depth_ideal_oracle(
         raise TooLargeError("oracle guard: size <= 4, n_vars <= 2, max_depth <= 4")
     pts = _validate_points(algebra, n_vars, points)
     start = _projection_rows(algebra, n_vars)
-    rows, _ = _close_rows(_signature_ops(algebra), start, steps=max_depth)
+    try:
+        rows, _ = _close_rows(_signature_ops(algebra), start, steps=max_depth)
+    except _GridOverflow as exc:
+        raise TooLargeError("oracle round exceeds the row kernel's entry budget") from exc
     return _closure_from_table(algebra, n_vars, pts, rows)

@@ -1,0 +1,230 @@
+"""The linear route: Zariski membership over multiadditive algebras by reduction.
+
+Rings, Lie rings and abelian groups decide every per-candidate question by
+one exact reduction of the monomial rows over the additive group.  Here it is
+checked against the row-closure worklist it replaces on these algebras, on
+the cases the worklist could not finish, and against the paper's algebraic
+characterization of equational domains.
+"""
+
+import random
+import sys
+import threading
+import time
+from itertools import product as iproduct
+
+import numpy as np
+import pytest
+
+from omegagroups import zariski
+from omegagroups.catalog import (
+    build_catalog,
+    cyclic_group,
+    cyclic_ring,
+    field_f4,
+    klein_four_group,
+    matrix_ring_m2_f2,
+)
+from omegagroups.core import direct_product, validate_algebra
+from omegagroups.domains import is_c_anticommutative, ring_satisfies_formula5
+from omegagroups.errors import TooLargeError
+from omegagroups.terms import grid_points
+from omegagroups.zariski import (
+    bounded_depth_ideal_oracle,
+    equational_domain_check,
+    point_in_closure,
+    term_function_table,
+    zariski_closure,
+)
+
+CATALOG = {entry.name: entry.algebra for entry in build_catalog()}
+
+
+def ring_product(*factors):
+    algebra = cyclic_ring(factors[0])
+    for n in factors[1:]:
+        algebra = direct_product(algebra, cyclic_ring(n))[0]
+    return algebra
+
+
+def axes(size):
+    return {(a, 0) for a in range(size)} | {(0, b) for b in range(size)}
+
+
+CROSS_CHECK = [
+    (cyclic_ring(4), 2),
+    (cyclic_ring(8), 2),
+    (cyclic_ring(9), 2),
+    (ring_product(2, 4), 1),
+    (cyclic_ring(6), 1),
+    (field_f4(), 1),
+    (matrix_ring_m2_f2(), 1),
+    (CATALOG["abelian-lie-4"], 3),
+    (CATALOG["null-ring-4"], 3),
+    (klein_four_group(), 3),
+    (cyclic_group(4), 3),
+]
+
+
+@pytest.mark.parametrize("algebra, n_vars", CROSS_CHECK,
+                         ids=[f"{algebra.name}^{n_vars}" for algebra, n_vars in CROSS_CHECK])
+def test_linear_route_matches_the_worklist(monkeypatch, algebra, n_vars):
+    """Every candidate of seeded point sets, joint and one at a time."""
+    assert zariski._is_multiadditive(algebra)
+    rng = random.Random(f"{algebra.name}/{n_vars}")
+    cells = list(grid_points(algebra.size, n_vars))
+    for _ in range(3):
+        pts = sorted(set(rng.sample(cells[1:], rng.randint(1, min(3, len(cells) - 1)))))
+        candidates = [c for c in cells[1:] if c not in pts]
+        joint = zariski._linear_membership(algebra, pts, candidates, zariski.WORKLIST_ROW_CAP)
+        expected = []
+        for cand, member in zip(candidates, joint):
+            (alone,) = zariski._linear_membership(algebra, pts, [cand], zariski.WORKLIST_ROW_CAP)
+            worklist = zariski._worklist_membership(algebra, n_vars, pts, cand)
+            assert member == alone == worklist, (algebra.name, pts, cand)
+            if member:
+                expected.append(cand)
+        assert list(zariski._linear_members(algebra, pts, candidates)) == expected
+        with monkeypatch.context() as patched:
+            patched.setattr(zariski, "_JOINT_ENTRIES", 0)  # one candidate at a time
+            assert list(zariski._linear_members(algebra, pts, candidates)) == expected
+
+
+BLOW_UPS = [
+    (cyclic_ring(8), {"a": 2, "b": 4}),  # the worklist's answer, after 87 s
+    (cyclic_ring(9), {"a": 3, "b": 3}),
+    (cyclic_ring(16), {"a": 2, "b": 8}),
+    (ring_product(3, 5), {"a": 1, "b": 5}),
+]
+
+
+@pytest.mark.parametrize("algebra, witness", BLOW_UPS,
+                         ids=[algebra.name for algebra, _ in BLOW_UPS])
+def test_worklist_blow_ups_are_decided(algebra, witness):
+    start = time.perf_counter()
+    verdict = equational_domain_check(algebra)
+    assert (verdict.verdict, verdict.method, verdict.witness) == (
+        False, "axis-union-closure", witness)
+    pair = (witness["a"], witness["b"])
+    assert point_in_closure(algebra, 2, axes(algebra.size), pair)
+    assert time.perf_counter() - start < 2
+
+
+def test_eight_point_matrix_closure_is_decided_one_candidate_at_a_time():
+    m2 = matrix_ring_m2_f2()
+    pts = [(12, 13), (1, 8), (15, 12), (9, 15), (11, 6), (4, 9), (4, 3), (8, 4)]
+    start = time.perf_counter()
+    closure = zariski_closure(m2, 2, pts)
+    assert time.perf_counter() - start < 10
+    assert len(closure) == 76 and set(pts) | {(0, 0)} < closure
+
+
+def additive_groups():
+    """Abelian groups of several shapes, some relabelled so 1 generates nothing special."""
+    groups = [cyclic_group(n) for n in (1, 2, 6, 8, 9, 12)] + [klein_four_group()]
+    groups += [direct_product(cyclic_group(a), cyclic_group(b))[0]
+               for a, b in [(2, 4), (4, 4), (2, 6), (4, 8), (3, 9), (2, 2)]]
+    groups.append(direct_product(groups[-1], cyclic_group(6))[0])  # Z2 x Z2 x Z6
+    rng = random.Random(7)
+    for group in groups[2:6]:
+        perm = [0] + rng.sample(range(1, group.size), group.size - 1)
+        add = [0] * group.size**2
+        for a, b in iproduct(range(group.size), repeat=2):
+            add[perm[a] * group.size + perm[b]] = perm[group.add_of(a, b)]
+        groups.append(validate_algebra(f"{group.name}-relabelled", group.size, add))
+    return groups
+
+
+@pytest.mark.parametrize("group", additive_groups(), ids=lambda group: group.name)
+def test_additive_coordinates_are_an_isomorphism(group):
+    split = zariski._additive_coordinates(group)
+    add = group.arrays.add
+    for p, q, coords in split:
+        assert q % p == 0 and p ** round(np.log(q) / np.log(p)) == q
+        assert coords.shape[0] == group.size and ((0 <= coords) & (coords < q)).all()
+        assert (coords[add] == (coords[:, None] + coords[None]) % q).all()
+    everything = np.concatenate([np.zeros((group.size, 0), dtype=np.intp)]
+                                + [coords for _, _, coords in split], axis=1)
+    assert len({row.tobytes() for row in everything}) == group.size
+
+
+def test_linear_data_is_kept_with_the_algebra_and_built_on_first_use():
+    ring = cyclic_ring(12)
+    assert ring._linear == {}  # validation builds none of it
+    term_function_table(ring, 1)
+    assert ring._linear == {"multiadditive": True}  # the table reads the flag only
+    equational_domain_check(ring)
+    assert set(ring._linear) == {"multiadditive", "coordinates"}
+    assert ring == cyclic_ring(12) and hash(ring) == hash(cyclic_ring(12))
+    assert repr(ring) == repr(cyclic_ring(12))
+
+
+def test_threads_racing_on_the_first_linear_data_agree():
+    expected = [equational_domain_check(cyclic_ring(n)) for n in (8, 12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            rings = [cyclic_ring(8), cyclic_ring(12)]  # fresh copies: no linear data yet
+            results = [None] * 8
+
+            def work(i):
+                results[i] = [equational_domain_check(ring) for ring in rings]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def unary_ternary_z3():
+    """Z3 with u(x) = x^2 and t(x, y, z) = xy + z^2 x + yz."""
+    square = [x * x % 3 for x in range(3)]
+    cubic = [(x * y + z * z * x + y * z) % 3 for x, y, z in grid_points(3, 3)]
+    return validate_algebra("Z3-unary-ternary", 3, cyclic_group(3).add,
+                            [("u", 1, square), ("t", 3, cubic)])
+
+
+def test_rounds_past_the_entry_budget_are_refused():
+    algebra = unary_ternary_z3()
+    start = time.perf_counter()
+    assert term_function_table(algebra, 2) is None  # round 3 would form 1.2e10 entries
+    with pytest.raises(TooLargeError):
+        zariski_closure(algebra, 2, [(1, 0)], method="grid")
+    with pytest.raises(TooLargeError):
+        bounded_depth_ideal_oracle(algebra, 2, [(1, 0)], 4)
+    # The auto route falls back to worklists, which separate every candidate early.
+    assert zariski_closure(algebra, 2, [(1, 0), (2, 1)]) == {(0, 0), (1, 0), (2, 1)}
+    assert time.perf_counter() - start < 2
+
+
+def test_worklist_round_past_the_entry_budget_is_refused(monkeypatch):
+    s3, pts = CATALOG["S3"], [(1, 2), (3, 4)]
+    assert point_in_closure(s3, 2, pts, (1, 1))  # so the worklist never stops early
+    monkeypatch.setattr(zariski, "_ROUND_ENTRIES", 100)
+    with pytest.raises(TooLargeError):
+        point_in_closure(s3, 2, pts, (1, 1))
+
+
+THEOREM_ALGEBRAS = (
+    [cyclic_ring(n) for n in range(2, 17)]
+    + [ring_product(a, b) for a, b in
+       [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (2, 6), (4, 4), (2, 7), (3, 3)]]
+    + [CATALOG[name] for name in ("F4-ring", "F2[t]/(t2)-ring", "null-ring-4", "M2(F2)-ring",
+                                  "abelian-lie-4", "heisenberg-lie-8", "sl2-f2")]
+)
+
+
+def test_equational_domains_are_the_c_anticommutative_algebras():
+    """The paper's characterization, on 31 rings and Lie rings."""
+    assert len(THEOREM_ALGEBRAS) == 31
+    for algebra in THEOREM_ALGEBRAS:
+        verdict = equational_domain_check(algebra).verdict
+        assert verdict == is_c_anticommutative(algebra).verdict, algebra.name
+        if algebra.kind == "ring":
+            assert verdict == ring_satisfies_formula5(algebra).verdict, algebra.name
