@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import FiniteOmegaGroup, TableArrays
-from .errors import NotASubgroupError, NotContainedError, TooLargeError
+from .errors import InvalidArgumentError, NotASubgroupError, NotContainedError, TooLargeError
 
 ENUMERATION_LIMIT = 16  # enumerations over more elements are refused
 BLOCK = 1 << 16  # entries per on-demand block of tuples
@@ -93,6 +93,15 @@ def _step(
                     yield values
 
 
+def _elements(algebra: FiniteOmegaGroup, subset: Iterable[int]) -> frozenset[int]:
+    """The subset as a frozenset; anything but carrier elements is refused."""
+    members = frozenset(subset)
+    for x in members:
+        if not isinstance(x, (int, np.integer)) or not 0 <= x < algebra.size:
+            raise InvalidArgumentError(f"{x!r} is not an element of the carrier of {algebra.name}")
+    return members
+
+
 def _indices(subset: Iterable[int]) -> np.ndarray:
     return np.array(sorted(subset), dtype=np.intp)
 
@@ -125,9 +134,8 @@ def _close(view: TableArrays, seed, ambient: np.ndarray | None, limit: int) -> f
 
 def is_omega_subgroup(algebra: FiniteOmegaGroup, subset: frozenset[int]) -> bool:
     """Contains 0 and closed under add, neg, and every extra operation."""
-    if 0 not in subset:
-        return False
-    return _adds_nothing(algebra.arrays, subset)
+    subset = _elements(algebra, subset)
+    return 0 in subset and _adds_nothing(algebra.arrays, subset)
 
 
 def is_ideal(
@@ -141,7 +149,8 @@ def is_ideal(
     group of the ambient, and absorption of omega-commutators whose second
     tuple ranges over the ambient.
     """
-    amb = _indices(ambient) if ambient is not None else np.arange(algebra.size)
+    subset = _elements(algebra, subset)
+    amb = _indices(_elements(algebra, ambient)) if ambient is not None else np.arange(algebra.size)
     if not subset <= set(amb.tolist()) or 0 not in subset:
         return False
     return _adds_nothing(algebra.arrays, subset, amb)
@@ -151,7 +160,7 @@ def omega_subgroup_closure(
     algebra: FiniteOmegaGroup, seed: Iterable[int]
 ) -> frozenset[int]:
     """Least subgroup containing the seed and closed under all operations."""
-    return _close(algebra.arrays, seed, None, algebra.size)
+    return _close(algebra.arrays, _elements(algebra, seed), None, algebra.size)
 
 
 def ideal_closure(
@@ -172,7 +181,7 @@ def ideal_closure(
         amb_set = frozenset(ambient)
         if not is_omega_subgroup(algebra, amb_set):
             raise NotASubgroupError("ambient is not a closed subgroup")
-    seed_set = set(seed)
+    seed_set = _elements(algebra, seed)
     if not seed_set <= amb_set:
         raise NotContainedError("seed must lie inside the ambient subgroup")
     return _close(algebra.arrays, seed_set, _indices(amb_set), len(amb_set))
@@ -202,11 +211,12 @@ def commutator_group(
     group commutators and omega-commutators."""
     if not is_omega_subgroup(algebra, a_set) or not is_omega_subgroup(algebra, b_set):
         raise NotASubgroupError("commutator_group expects closed subgroups")
-    ambient = omega_subgroup_closure(algebra, a_set | b_set)
+    view = algebra.arrays
+    ambient = _close(view, a_set | b_set, None, algebra.size)
     gens = np.zeros(algebra.size, dtype=bool)
     for _, _, values in _commutator_generators(algebra, a_set, b_set):
-        gens[values] = True
-    return ideal_closure(algebra, ambient, np.flatnonzero(gens).tolist())
+        gens[values] = True  # inside the ambient, a closed subgroup holding both sets
+    return _close(view, np.flatnonzero(gens), _indices(ambient), len(ambient))
 
 
 def commutator_group_is_trivial(

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .closures import (
+    _close,
     _commutator_scan,
+    _indices,
     enumerate_ideals,
     enumerate_omega_subgroups,
     generated_subgroup,
-    ideal_closure,
     is_omega_subgroup,
     principal_ideal,
 )
@@ -66,12 +67,19 @@ def zero_divisor_witness(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
     in (a, b) so the reported witness is deterministic.
     """
     ideals = {a: principal_ideal(algebra, a) for a in range(1, algebra.size)}
-    for a in range(1, algebra.size):
-        for b in range(1, algebra.size):
-            trivial, _ = _commutator_scan(algebra, ideals[a], ideals[b])
-            if trivial:
-                return WitnessedVerdict(True, "principal-ideal-commutator", {"a": a, "b": b})
-    return WitnessedVerdict(False, "principal-ideal-commutator")
+    pair = _first_trivial_pair(algebra, ideals)
+    if pair is None:
+        return WitnessedVerdict(False, "principal-ideal-commutator")
+    return WitnessedVerdict(True, "principal-ideal-commutator", {"a": pair[0], "b": pair[1]})
+
+
+def _first_trivial_pair(algebra: FiniteOmegaGroup, sets: dict[int, frozenset[int]]):
+    """The first (a, b), in the order of the keys, whose sets have a trivial commutator."""
+    for a in sets:
+        for b in sets:
+            if _commutator_scan(algebra, sets[a], sets[b])[0]:
+                return a, b
+    return None
 
 
 def is_domain(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
@@ -94,7 +102,8 @@ def is_anticommutative(
     if not is_omega_subgroup(algebra, p):
         raise NotASubgroupError("is_anticommutative expects a closed subgroup")
     nonzero = [a for a in sorted(p) if a != 0]
-    ideals = {a: ideal_closure(algebra, p, (a,)) for a in nonzero}
+    ambient = _indices(p)
+    ideals = {a: _close(algebra.arrays, (a,), ambient, len(p)) for a in nonzero}
     for a in nonzero:
         trivial, _ = _commutator_scan(algebra, ideals[a], ideals[a])
         if trivial:
@@ -148,14 +157,10 @@ def is_c_anticommutative(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
 
 def _c_anticommutative_criterion(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
     subgroups = {a: generated_subgroup(algebra, a) for a in range(1, algebra.size)}
-    for a in range(1, algebra.size):
-        for b in range(1, algebra.size):
-            trivial, _ = _commutator_scan(algebra, subgroups[a], subgroups[b])
-            if trivial:
-                return WitnessedVerdict(
-                    False, "generated-subgroup-commutator", {"a": a, "b": b}
-                )
-    return WitnessedVerdict(True, "generated-subgroup-commutator")
+    pair = _first_trivial_pair(algebra, subgroups)
+    if pair is None:
+        return WitnessedVerdict(True, "generated-subgroup-commutator")
+    return WitnessedVerdict(False, "generated-subgroup-commutator", {"a": pair[0], "b": pair[1]})
 
 
 def _c_anticommutative_oracle(algebra: FiniteOmegaGroup) -> WitnessedVerdict:

@@ -60,7 +60,7 @@ class OracleDisagreementError(AlgebraError):
 
 
 class InvalidArgumentError(AlgebraError, ValueError):
-    """An argument is out of range: a point off the carrier, fewer than one variable."""
+    """An argument is out of range: an element or point off the carrier, fewer than one variable."""
 
 
 class ParseError(AlgebraError):

@@ -318,6 +318,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_MAX_TERM_DEPTH = 256  # deeper terms would overflow the recursion of parsing and evaluation
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -336,9 +339,11 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
         tok = self.take()
         kind, value, col = tok
+        if depth > _MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {_MAX_TERM_DEPTH} levels at column {col}")
         if kind == "int":
             if value != "0":
                 raise ParseError(f"only the constant 0 is allowed, found {value!r} at column {col}")
@@ -350,21 +355,21 @@ class _Parser:
                     raise ParseError(f"variable indices are 1-based, found {value!r} at column {col}")
                 return Var(index)
             self.take("(")
-            args = [self.term()]
+            args = [self.term(depth + 1)]
             while self.peek() and self.peek()[0] == ",":
                 self.take(",")
-                args.append(self.term())
+                args.append(self.term(depth + 1))
             self.take(")")
             return Op(value, tuple(args))
         if kind == "(":
             if self.peek() and self.peek()[0] == "-":
                 self.take("-")
-                child = self.term()
+                child = self.term(depth + 1)
                 self.take(")")
                 return Neg(child)
-            left = self.term()
+            left = self.term(depth + 1)
             self.take("+")
-            right = self.term()
+            right = self.term(depth + 1)
             self.take(")")
             return Add(left, right)
         raise ParseError(f"unexpected token {value!r} at column {col}")

@@ -25,9 +25,9 @@ entries is refused before it forms any.  Multiadditive algebras grow their
 tables as an additive span instead, through the same set.
 
 One candidate loop, ``_closure_members``, serves ``zariski_closure``,
-``closure_excess_point`` and ``point_in_closure``.  It yields the closure's
-new points in lexicographic order by one of three routes, cross-checked in
-the test suite:
+``closure_excess_point``, ``point_in_closure`` and the lattice.  It yields
+the closure's new points in lexicographic order by one of three routes,
+cross-checked in the test suite:
 
 * a cached table of all term functions on the full grid H^n (used on small
   grids), from which a closure query is a couple of row filters;
@@ -36,11 +36,14 @@ the test suite:
   since every term function is a sum of monomials, one exact reduction of
   the monomial rows over the additive group (a Howell form at each prime of
   |H|) leaves rows spanning the term functions that vanish on the point
-  set, and the candidates where they all vanish are the closure.  When the
-  joint monomial rows grow too many, each candidate gets its own reduction;
+  set, and the candidates where they all vanish are the closure;
 * off the table, over other algebras, per-candidate worklists: a closure of
-  product rows that stops at the first separating row decides each
-  candidate other than the zero point.
+  product rows that stops at the first separating row.
+
+Off the table the joint reduction is tried once; when its monomial rows
+grow too many, or the algebra is not multiadditive, the remaining
+candidates are decided one at a time in a single loop, each by its own
+reduction or its own worklist.
 """
 
 from __future__ import annotations
@@ -98,19 +101,25 @@ def _check_carrier(algebra: FiniteOmegaGroup) -> None:
 def _check_guard(algebra: FiniteOmegaGroup, n_vars: int, guard: int) -> int:
     if n_vars < 1:
         raise InvalidArgumentError("n_vars must be at least 1")
-    total = algebra.size**n_vars
-    if total > guard:
-        raise TooLargeError(
-            f"{algebra.size}^{n_vars} = {total} points exceeds the guard of {guard}"
-        )
-    return total
+    size = algebra.size
+    # size^n_vars >= 2^(n_vars * (bits - 1)), so past this the grid is refused
+    # unformed; the count is never printed, as it may be too long to print
+    if n_vars * (size.bit_length() - 1) <= guard.bit_length():
+        total = size**n_vars
+        if total <= guard:
+            return total
+    raise TooLargeError(f"{size}^{n_vars} points exceeds the guard of {guard}")
 
 
 def _validate_points(algebra: FiniteOmegaGroup, n_vars: int, points: Iterable[Point]):
+    if n_vars < 1:
+        raise InvalidArgumentError("n_vars must be at least 1")
     out = set()
     for p in points:
         t = tuple(p)
-        if len(t) != n_vars or any(not 0 <= x < algebra.size for x in t):
+        if len(t) != n_vars or not all(
+            isinstance(x, (int, np.integer)) and 0 <= x < algebra.size for x in t
+        ):
             raise InvalidArgumentError(f"point {t} is not a {n_vars}-tuple over the carrier")
         out.add(t)
     return out
@@ -124,8 +133,8 @@ def solve_system(
     keep = np.ones(total, dtype=bool)
     for term in system.terms:
         keep &= term_values(algebra, term, system.n_vars) == 0
-    cells = list(grid_points(algebra.size, system.n_vars))
-    return frozenset(cells[i] for i in np.nonzero(keep)[0])
+    cells = np.unravel_index(np.flatnonzero(keep), (algebra.size,) * system.n_vars)
+    return frozenset(zip(*(axis.tolist() for axis in cells)))
 
 
 # --- the row-closure kernel ----------------------------------------------------
@@ -324,13 +333,6 @@ class _RowSet:
         return keys[new], order[new]
 
 
-def _round_values(ops, older: np.ndarray, frontier: np.ndarray, rows: np.ndarray):
-    """The blocks of one round: every op on the tuples touching the frontier."""
-    for op in ops:
-        for j in range(op.ndim):
-            yield from _op_values(op, [older] * j + [frontier] + [rows] * (op.ndim - 1 - j))
-
-
 def _close_rows(
     ops: Sequence[np.ndarray],
     start: np.ndarray,
@@ -362,16 +364,17 @@ def _close_rows(
     while len(frontier) and (steps is None or rounds < steps):
         rounds += 1
         older = rows[: len(rows) - len(frontier)]
-        entries = seen.width * sum(
-            len(older) ** j * len(frontier) * len(rows) ** (op.ndim - 1 - j)
+        walks = [
+            (op, [older] * j + [frontier] + [rows] * (op.ndim - 1 - j))
             for op in ops
             for j in range(op.ndim)
-        )
+        ]
+        entries = seen.width * sum(prod(len(axis) for axis in axes) for _, axes in walks)
         if entries > _ROUND_ENTRIES:
             raise _GridOverflow(entries)
         found = _RowSet(seen.width, top)
         batch, volume, overflow = [], 0, False
-        for block in _round_values(ops, older, frontier, rows):
+        for block in (block for op, axes in walks for block in _op_values(op, axes)):
             if stop is not None and stop(block):
                 return rows, True
             if overflow:
@@ -435,6 +438,21 @@ def _scan_multiadditive(algebra: FiniteOmegaGroup) -> bool:
     return True
 
 
+def _multiples(algebra: FiniteOmegaGroup) -> np.ndarray:
+    """multiples[m, x] = m*x for m = 0..|H|, built by doubling."""
+    n, add = algebra.size, algebra.arrays.add
+    multiples = np.arange(n)[None]  # rows m = 1..len(multiples)
+    while len(multiples) < n:
+        multiples = np.concatenate([multiples, add[multiples[-1], multiples]])
+    return np.concatenate([np.zeros((1, n), dtype=multiples.dtype), multiples[:n]])
+
+
+def _monomial_rows(algebra: FiniteOmegaGroup, gens: np.ndarray, row_cap: int) -> np.ndarray:
+    """The closure of the rows gens under the extra operations alone."""
+    ops = algebra.arrays.ops
+    return _close_rows(ops, gens, row_cap)[0] if ops else gens
+
+
 def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
     """Term-function table for multiadditive algebras.
 
@@ -444,23 +462,19 @@ def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
     With m the least k >= 1 for which k*v lies in S, the cosets S + k*v for
     0 < k < m are new and pairwise disjoint, and with S they make S + <v>.
     """
-    view = algebra.arrays
-    n, width = algebra.size, gens.shape[1]
-    monomials = _close_rows(view.ops, gens, row_cap)[0] if view.ops else gens
-    multiples = np.arange(n)[None]  # multiples[k - 1, a] = k*a, doubled up to k = n
-    while len(multiples) < n:
-        multiples = np.concatenate([multiples, view.add[multiples[-1], multiples]])
+    n, width, add = algebra.size, gens.shape[1], algebra.arrays.add
+    multiples = _multiples(algebra)
     span = _RowSet(width, n - 1)
     rows = np.zeros((1, width), dtype=np.uint8)
     span.add(span.pack(rows))
-    for vec in monomials:
-        steps = multiples[:n, vec].astype(np.uint8)  # k*vec for k = 1..n; n*vec = 0
+    for vec in _monomial_rows(algebra, gens, row_cap):
+        steps = multiples[1:, vec].astype(np.uint8)  # k*vec for k = 1..n; n*vec = 0
         m = 1 + int(np.argmax(span.contains(span.pack(steps))))
         if m == 1:
             continue
         if rows.shape[0] * m > row_cap:
             raise _GridOverflow(rows.shape[0] * m)
-        cosets = view.add[rows[None], steps[: m - 1, None]].astype(np.uint8).reshape(-1, width)
+        cosets = add[rows[None], steps[: m - 1, None]].astype(np.uint8).reshape(-1, width)
         span.add(span.pack(cosets))
         rows = np.concatenate([rows, cosets])
     return rows
@@ -516,12 +530,13 @@ def _cell_index(algebra: FiniteOmegaGroup, point: Point) -> int:
     return idx
 
 
-def _worklist_membership(algebra, n_vars, pts: list[Point], cand: Point) -> bool:
+def _worklist_membership(algebra, pts: list[Point], cand: Point) -> bool:
     """Exact membership of one candidate.
 
     The candidate is outside iff the subalgebra of the product over
     (points + candidate) generated by the coordinate projections reaches an
-    element vanishing at every point but not at the candidate.
+    element vanishing at every point but not at the candidate.  More than
+    WORKLIST_ROW_CAP rows raise _GridOverflow.
     """
     columns = np.array(list(pts) + [cand], dtype=np.uint8)
     start = np.concatenate([np.zeros((1, columns.shape[0]), dtype=np.uint8), columns.T])
@@ -529,12 +544,7 @@ def _worklist_membership(algebra, n_vars, pts: list[Point], cand: Point) -> bool
     def separates(block: np.ndarray) -> bool:
         return bool((~block[:, :-1].any(axis=1) & (block[:, -1] != 0)).any())
 
-    try:
-        _, separated = _close_rows(_signature_ops(algebra), start, WORKLIST_ROW_CAP, stop=separates)
-    except _GridOverflow as exc:
-        raise TooLargeError(
-            f"closure membership search exceeded {WORKLIST_ROW_CAP} product tuples"
-        ) from exc
+    _, separated = _close_rows(_signature_ops(algebra), start, WORKLIST_ROW_CAP, stop=separates)
     return not separated
 
 
@@ -557,9 +567,7 @@ def _additive_coordinates(algebra: FiniteOmegaGroup) -> tuple[tuple[int, int, np
     """
     view = algebra.arrays
     n, add = algebra.size, view.add
-    multiples = np.zeros((n + 1, n), dtype=np.intp)  # multiples[m, x] = m*x
-    for m in range(1, n + 1):
-        multiples[m] = add[multiples[m - 1], np.arange(n)]
+    multiples = _multiples(algebra)
     factors = []  # (p, order, generator)
     rest = n
     for p in range(2, n + 1):
@@ -645,9 +653,7 @@ def _linear_membership(algebra, pts: list[Point], candidates: list[Point], row_c
     in the closure iff those rows vanish at it at every prime.  More than
     row_cap monomial rows raise _GridOverflow.
     """
-    columns = np.array(pts + candidates, dtype=np.uint8).T
-    ops = algebra.arrays.ops
-    monomials = _close_rows(ops, columns, row_cap)[0] if ops else columns
+    monomials = _monomial_rows(algebra, np.array(pts + candidates, dtype=np.uint8).T, row_cap)
     inside = np.ones(len(candidates), dtype=bool)
     for p, q, coords in _derived(algebra, "coordinates", _additive_coordinates):
         k = coords.shape[1]
@@ -655,33 +661,6 @@ def _linear_membership(algebra, pts: list[Point], candidates: list[Point], row_c
         rows = _vanishing_span(rows, len(pts) * k, p, q)[:, len(pts) * k :]
         inside &= ~rows.reshape(len(rows), len(candidates), k).any(axis=(0, 2))
     return inside
-
-
-def _linear_members(algebra, pts: list[Point], candidates: list[Point]) -> Iterator[Point]:
-    """Yield, in order, the candidates in the closure of pts (multiadditive algebras).
-
-    One reduction decides every candidate while the joint monomial rows have
-    at most _JOINT_ENTRIES coordinates; past that, each candidate is decided
-    by its own reduction under the worklist's row cap.
-    """
-    if not candidates:
-        return
-    coordinates = _derived(algebra, "coordinates", _additive_coordinates)
-    width = (len(pts) + len(candidates)) * sum(coords.shape[1] for _, _, coords in coordinates)
-    try:
-        inside = _linear_membership(algebra, pts, candidates, _JOINT_ENTRIES // max(1, width))
-    except _GridOverflow:
-        for cand in candidates:
-            try:
-                (member,) = _linear_membership(algebra, pts, [cand], WORKLIST_ROW_CAP)
-            except _GridOverflow as exc:
-                raise TooLargeError(
-                    f"closure membership search exceeded {WORKLIST_ROW_CAP} monomial rows"
-                ) from exc
-            if member:
-                yield cand
-        return
-    yield from (cand for cand, member in zip(candidates, inside) if member)
 
 
 def _point_set(algebra, n_vars, points, method="auto", guard=None) -> set[Point]:
@@ -702,12 +681,13 @@ def _closure_members(
     Without `candidates` the whole grid is asked: the term-function table
     answers for method "grid", and for "auto" on grids of at most
     GRID_CELL_LIMIT cells whose table fits its cap.  Otherwise, and always
-    for given candidates (outside pts), the linear route decides the
-    candidates over a multiadditive algebra and a worklist each one alone
-    over any other.
+    for given candidates (outside pts), the routes of the module docstring
+    decide them: the joint reduction while its monomial rows have at most
+    _JOINT_ENTRIES coordinates, then one candidate at a time under
+    WORKLIST_ROW_CAP.
     """
-    total = algebra.size**n_vars
     if candidates is None:
+        total = algebra.size**n_vars
         if len(pts) == total:
             return
         if method == "grid" or (method == "auto" and total <= GRID_CELL_LIMIT):
@@ -718,14 +698,34 @@ def _closure_members(
                 yield from sorted(_closure_from_table(algebra, n_vars, pts, table) - pts)
                 return
         candidates = [p for p in grid_points(algebra.size, n_vars) if p not in pts]
-    if not any(candidates[0]):
+    if candidates and not any(candidates[0]):
         yield candidates.pop(0)  # every term function vanishes at the zero point
     sorted_pts = sorted(pts)
-    if _is_multiadditive(algebra):
-        yield from _linear_members(algebra, sorted_pts, candidates)
-        return
+    linear = _is_multiadditive(algebra)
+    if linear and candidates:
+        coordinates = _derived(algebra, "coordinates", _additive_coordinates)
+        width = (len(pts) + len(candidates)) * sum(coords.shape[1] for _, _, coords in coordinates)
+        try:
+            inside = _linear_membership(
+                algebra, sorted_pts, candidates, _JOINT_ENTRIES // max(1, width)
+            )
+        except _GridOverflow:
+            pass
+        else:
+            yield from (cand for cand, member in zip(candidates, inside) if member)
+            return
     for cand in candidates:
-        if _worklist_membership(algebra, n_vars, sorted_pts, cand):
+        try:
+            if linear:
+                (member,) = _linear_membership(algebra, sorted_pts, [cand], WORKLIST_ROW_CAP)
+            else:
+                member = _worklist_membership(algebra, sorted_pts, cand)
+        except _GridOverflow as exc:
+            kept = "monomial rows" if linear else "product tuples"
+            raise TooLargeError(
+                f"closure membership search exceeded {WORKLIST_ROW_CAP} {kept}"
+            ) from exc
+        if member:
             yield cand
 
 
@@ -766,9 +766,7 @@ def is_algebraic(
     guard: int = DEFAULT_POINT_GUARD,
 ) -> bool:
     """True iff the point set equals its own closure."""
-    pts = _validate_points(algebra, n_vars, points)
-    extra = closure_excess_point(algebra, n_vars, pts, guard=guard)
-    return extra is None
+    return closure_excess_point(algebra, n_vars, points, guard) is None
 
 
 def closure_excess_point(
@@ -791,10 +789,9 @@ def equational_domain_check(
     always algebraic, and a point of its closure off the axes is exactly a
     pair witnessing the failure.
     """
-    _check_guard(algebra, 2, guard)
     n = algebra.size
     axes = {(a, 0) for a in range(n)} | {(0, b) for b in range(n)}
-    extra = closure_excess_point(algebra, 2, axes, guard=guard)
+    extra = closure_excess_point(algebra, 2, axes, guard)
     if extra is None:
         return WitnessedVerdict(True, "axis-union-closure")
     return WitnessedVerdict(False, "axis-union-closure", {"a": extra[0], "b": extra[1]})

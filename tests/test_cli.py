@@ -173,13 +173,19 @@ def test_catalog_text_output_runs():
         ["validate", "{zero_arity}"],
         ["closure", "{ring}", "--vars", "2", "--points", "9,9"],
         ["solve", "{ring}", "--vars", "0", "--eq", "x1"],
+        ["closure", "{ring4}", "--vars", "8000", "--points", ""],
+        ["solve", "{ring4}", "--vars", "8000", "--eq", "x1"],
+        ["solve", "{ring4}", "--vars", "1", "--eq", "(- " * 1200 + "x1" + ")" * 1200],
+        ["solve", "{ring4}", "--vars", "1", "--eq", "mul(" * 800 + "x1" + ",x1)" * 800],
     ],
-    ids=["validate-zero-arity", "closure-point-off-carrier", "solve-zero-vars"],
+    ids=["validate-zero-arity", "closure-point-off-carrier", "solve-zero-vars",
+         "closure-huge-vars", "solve-huge-vars", "solve-deep-negation", "solve-deep-product"],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, ring_files, tmp_path):
     zero_arity = tmp_path / "zero-arity.alg"
     zero_arity.write_text("algebra u\nsize 2\nadd\n0 1\n1 0\nop u 0\n")
-    args = [a.format(zero_arity=zero_arity, ring=ring_files[3]) for a in argv]
+    rings = {"ring": ring_files[3], "ring4": ring_files[4]}
+    args = [a.format(zero_arity=zero_arity, **rings) for a in argv]
     done = subprocess.run(
         [sys.executable, "-m", "omegagroups.cli", *args], capture_output=True, text=True
     )

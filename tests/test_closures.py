@@ -16,7 +16,13 @@ from omegagroups.closures import (
     principal_ideal,
 )
 from omegagroups.core import direct_product, validate_algebra
-from omegagroups.errors import NotASubgroupError, NotContainedError, TooLargeError
+from omegagroups.domains import is_abelian, is_anticommutative, is_anticommutative_exhaustive
+from omegagroups.errors import (
+    InvalidArgumentError,
+    NotASubgroupError,
+    NotContainedError,
+    TooLargeError,
+)
 
 # S3 element indices (permutations of (0,1,2) in lexicographic order):
 # 0=id, 1=(12), 2=(01), 3=(012), 4=(021), 5=(02)
@@ -46,6 +52,31 @@ def test_ideal_closure_preconditions():
         ideal_closure(s3, frozenset({0, 1, 3}), {1})
     with pytest.raises(NotContainedError):
         ideal_closure(s3, A3, {1})
+
+
+def test_bad_elements_are_value_errors_of_the_package():
+    z4 = cyclic_ring(4)
+    malformed = [
+        lambda: omega_subgroup_closure(z4, [7]),
+        lambda: is_omega_subgroup(z4, {0, 9}),
+        lambda: is_omega_subgroup(z4, {0, -2}),  # not wrapped round to {0, 2}
+        lambda: generated_subgroup(z4, -2),
+        lambda: ideal_closure(z4, None, [1.0]),
+        lambda: ideal_closure(z4, {0, 9}, [0]),
+        lambda: principal_ideal(z4, "1"),
+        lambda: is_ideal(z4, {0, 9}),
+        lambda: is_ideal(z4, {0}, {0, 2, 9}),
+        lambda: commutator_group(z4, frozenset({0, 9}), frozenset({0})),
+        lambda: commutator_group_is_trivial(z4, frozenset({0}), frozenset({0, -1})),
+        lambda: enumerate_ideals(z4, {0, 4}),
+        lambda: is_abelian(z4, {0, 5}),
+        lambda: is_anticommutative(z4, {0, 2.0}),
+        lambda: is_anticommutative_exhaustive(z4, {0, 9}),
+    ]
+    for call in malformed:
+        with pytest.raises(InvalidArgumentError):
+            call()
+    assert is_omega_subgroup(z4, {0, 2}) and generated_subgroup(z4, 2) == {0, 2}
 
 
 def test_commutator_group_examples():

@@ -8,7 +8,8 @@ from omegagroups.catalog import (
     quaternion_group,
     symmetric_group_3,
 )
-from omegagroups.closures import enumerate_ideals, enumerate_omega_subgroups
+from omegagroups import closures
+from omegagroups.closures import commutator_group, enumerate_ideals, enumerate_omega_subgroups
 from omegagroups.domains import (
     group_zero_divisor_sets,
     is_abelian,
@@ -157,3 +158,18 @@ def test_abelian_ideals_detected_against_enumeration(small_algebras):
         for ideal in enumerate_ideals(algebra):
             expected = commutator_group(algebra, ideal, ideal) == {0}
             assert is_abelian(algebra, ideal).verdict == expected
+
+
+def test_subgroup_arguments_are_scanned_once(monkeypatch):
+    scans = []
+    adds_nothing = closures._adds_nothing
+    monkeypatch.setattr(
+        closures, "_adds_nothing", lambda *args: scans.append(args) or adds_nothing(*args)
+    )
+    m2 = matrix_ring_m2_f2()
+    assert is_anticommutative(m2)  # every principal ideal is closed, none of them checked
+    assert len(scans) == 1  # the subgroup itself, not once more per principal ideal
+    scans.clear()
+    whole = frozenset(m2.elements)
+    assert commutator_group(m2, whole, whole) == whole
+    assert len(scans) == 2

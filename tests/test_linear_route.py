@@ -80,14 +80,16 @@ def test_linear_route_matches_the_worklist(monkeypatch, algebra, n_vars):
         expected = []
         for cand, member in zip(candidates, joint):
             (alone,) = zariski._linear_membership(algebra, pts, [cand], zariski.WORKLIST_ROW_CAP)
-            worklist = zariski._worklist_membership(algebra, n_vars, pts, cand)
+            worklist = zariski._worklist_membership(algebra, pts, cand)
             assert member == alone == worklist, (algebra.name, pts, cand)
             if member:
                 expected.append(cand)
-        assert list(zariski._linear_members(algebra, pts, candidates)) == expected
+        members = zariski._closure_members(algebra, n_vars, set(pts), candidates=list(candidates))
+        assert list(members) == expected
         with monkeypatch.context() as patched:
             patched.setattr(zariski, "_JOINT_ENTRIES", 0)  # one candidate at a time
-            assert list(zariski._linear_members(algebra, pts, candidates)) == expected
+            members = zariski._closure_members(algebra, n_vars, set(pts), candidates=list(candidates))
+            assert list(members) == expected
 
 
 BLOW_UPS = [
@@ -209,6 +211,17 @@ def test_worklist_round_past_the_entry_budget_is_refused(monkeypatch):
     monkeypatch.setattr(zariski, "_ROUND_ENTRIES", 100)
     with pytest.raises(TooLargeError):
         point_in_closure(s3, 2, pts, (1, 1))
+
+
+def test_one_candidate_past_the_row_cap_is_refused(monkeypatch):
+    m2, pts = matrix_ring_m2_f2(), axes(16)
+    monkeypatch.setattr(zariski, "_JOINT_ENTRIES", 0)  # one candidate at a time
+    assert not point_in_closure(m2, 2, pts, (1, 1))
+    monkeypatch.setattr(zariski, "WORKLIST_ROW_CAP", 1)
+    with pytest.raises(TooLargeError, match="monomial rows"):
+        point_in_closure(m2, 2, pts, (1, 1))
+    with pytest.raises(TooLargeError, match="product tuples"):  # the worklist's own message
+        point_in_closure(CATALOG["S3"], 2, [(1, 2), (3, 4)], (1, 1))
 
 
 THEOREM_ALGEBRAS = (

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from omegagroups import terms
 from omegagroups.catalog import cyclic_group, cyclic_ring, symmetric_group_3
 from omegagroups.core import direct_product
 from omegagroups.errors import ParseError, UnboundVariableError
@@ -160,6 +161,18 @@ def test_parser_normalizes_equations():
 def test_parser_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_term(bad)
+
+
+def test_parser_refuses_terms_nested_too_deep_to_evaluate():
+    for text in ("(- " * 1200 + "x1" + ")" * 1200, "mul(" * 800 + "x1" + ",x1)" * 800):
+        with pytest.raises(ParseError):
+            parse_term(text)
+    depth = terms._MAX_TERM_DEPTH
+    product, negation = "mul(" * depth + "x1" + ",x1)" * depth, "(- " * depth + "x1" + ")" * depth
+    deepest = parse_term(f"{product} = {negation}")
+    assert term_values(cyclic_ring(4), deepest, 1).shape == (4,)
+    with pytest.raises(ParseError):
+        parse_term("(- " * (depth + 1) + "x1" + ")" * (depth + 1))
 
 
 def test_vars_of():

@@ -17,6 +17,7 @@ from omegagroups.catalog import (
     null_ring_klein,
     abelian_lie_f2,
     quaternion_group,
+    symmetric_group_3,
 )
 from omegagroups import core, zariski
 from omegagroups.core import FiniteOmegaGroup, direct_product, validate_algebra
@@ -392,6 +393,39 @@ def test_close_rows_without_operations_keeps_the_distinct_start_rows():
     assert stopped and rows.tolist() == [[3, 0, 1]]
 
 
+def test_worklist_separator_past_the_row_cap_keeps_its_verdict(monkeypatch):
+    """After a round's new rows pass the cap, its later blocks are still shown to `stop`."""
+    s3, pts, cand = symmetric_group_3(), [(0, 2), (4, 1)], (5, 0)
+    assert not zariski._worklist_membership(s3, pts, cand)
+    monkeypatch.setattr(zariski, "_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(zariski, "WORKLIST_ROW_CAP", 7)  # passed before the separator forms
+    assert not zariski._worklist_membership(s3, pts, cand)
+    start = np.concatenate([np.zeros((1, 3)), np.array([*pts, cand]).T]).astype(np.uint8)
+    with pytest.raises(zariski._GridOverflow):  # the 12 rows of the full closure pass the cap
+        zariski._close_rows(zariski._signature_ops(s3), start, 7)
+
+
+def test_round_without_stop_ends_at_the_block_that_passes_the_row_cap(monkeypatch):
+    s3 = symmetric_group_3()
+    ops, start = zariski._signature_ops(s3), zariski._projection_rows(s3, 2)
+    monkeypatch.setattr(zariski, "_BLOCK_ENTRIES", start.shape[1])  # one row a block
+    formed = []
+    op_values = zariski._op_values
+
+    def counted(op, axes):
+        for block in op_values(op, axes):
+            formed.append(block)
+            yield block
+
+    monkeypatch.setattr(zariski, "_op_values", counted)
+    zariski._close_rows(ops, start, steps=1)
+    first_round = len(formed)
+    formed.clear()
+    with pytest.raises(zariski._GridOverflow):
+        zariski._close_rows(ops, start, row_cap=len(start) + 1)
+    assert 0 < len(formed) < first_round
+
+
 MULTIADDITIVE = [
     (cyclic_group(6), 1),
     (cyclic_group(3), 2),
@@ -668,6 +702,42 @@ def test_bad_arguments_are_value_errors_of_the_package():
             point_in_closure(z3, 2, [(1, 0)], candidate)
     with pytest.raises(ValueError):
         solve_system(z3, EquationSystem(0, ()))
+    z4 = cyclic_ring(4)
+    malformed = [
+        lambda: point_in_closure(z4, 2, [(0, 1)], (1.5, 0)),  # not answered as (1, 0)
+        lambda: zariski_closure(z4, 2, [(0.5, 1)]),
+        lambda: zariski_closure(z4, 2, [("1", 1)]),
+        lambda: is_algebraic(z4, 2, [(0, 9)]),
+        lambda: point_in_closure(z4, 0, [], ()),
+        lambda: bounded_depth_ideal_oracle(z4, 0, [], 2),
+    ]
+    for call in malformed:
+        with pytest.raises(InvalidArgumentError):
+            call()
+    too_many = [  # 4^8000 and 3^9500 have more digits than Python will print
+        lambda: zariski_closure(z4, 8000, []),
+        lambda: zariski_closure(cyclic_ring(3), 9500, [], guard=10**3000),
+        lambda: is_algebraic(z4, 8000, []),
+        lambda: solve_system(z4, EquationSystem(8000, ())),
+        lambda: equational_domain_check(z4, guard=15),
+    ]
+    for call in too_many:
+        with pytest.raises(TooLargeError):
+            call()
+
+
+def test_public_queries_check_each_argument_once(monkeypatch):
+    calls = []
+    for name in ("_validate_points", "_check_guard", "_check_carrier"):
+        check = getattr(zariski, name)
+        monkeypatch.setattr(
+            zariski, name, lambda *args, name=name, check=check: calls.append(name) or check(*args)
+        )
+    z5 = cyclic_ring(5)  # 25 cells: off the table, which checks the carrier itself
+    for query in (lambda: is_algebraic(z5, 2, axes(5)), lambda: equational_domain_check(z5)):
+        calls.clear()
+        query()
+        assert sorted(calls) == ["_check_carrier", "_check_guard", "_validate_points"]
 
 
 def test_closures_take_no_prefilter_argument():
