@@ -17,6 +17,7 @@ Exit codes: 0 property holds / computation succeeded, 1 property fails
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -312,7 +313,9 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK if not report.violations else EXIT_PROPERTY_FAILS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="omegagroups",
         description="Classify finite multioperator groups and explore their Zariski topology.",

@@ -8,14 +8,14 @@ compared structurally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import FiniteOmegaGroup
-from .errors import ArityMismatchError, ParseError, UnboundVariableError
+from .errors import ArityMismatchError, InvalidArgumentError, ParseError, UnboundVariableError
 
 __all__ = [
     "Term",
@@ -42,35 +42,69 @@ __all__ = [
 ]
 
 
+_MAX_TERM_DEPTH = 256  # deepest term parse_term reads, on either side of an equation
+# Deepest term built at all: two levels more hold the normal form lhs + (-rhs)
+# of an equation of two deepest sides.  Hashing, comparing, evaluating and
+# printing a term recurse once per level, so this keeps them far inside the
+# interpreter's recursion limit.
+_MAX_NODE_DEPTH = _MAX_TERM_DEPTH + 2
+
+
 class Term:
     __slots__ = ()
+
+
+def _set_depth(node: Term, children) -> None:
+    """Record node.depth, one more than its deepest child; refuse it past _MAX_NODE_DEPTH."""
+    depth = 1 + max((getattr(child, "depth", 0) for child in children), default=0)
+    if depth > _MAX_NODE_DEPTH:
+        raise InvalidArgumentError(f"term nested deeper than {_MAX_NODE_DEPTH} levels")
+    object.__setattr__(node, "depth", depth)
+
+
+def _depth_field():
+    return field(init=False, compare=False, hash=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Zero(Term):
     __slots__ = ()
+    depth = 0
 
 
 @dataclass(frozen=True)
 class Var(Term):
     index: int  # 1-based
+    depth = 0
 
 
 @dataclass(frozen=True)
 class Neg(Term):
     child: Term
+    depth: int = _depth_field()
+
+    def __post_init__(self):
+        _set_depth(self, (self.child,))
 
 
 @dataclass(frozen=True)
 class Add(Term):
     left: Term
     right: Term
+    depth: int = _depth_field()
+
+    def __post_init__(self):
+        _set_depth(self, (self.left, self.right))
 
 
 @dataclass(frozen=True)
 class Op(Term):
     name: str
     args: tuple[Term, ...]
+    depth: int = _depth_field()
+
+    def __post_init__(self):
+        _set_depth(self, self.args)
 
 
 ZERO = Zero()
@@ -318,9 +352,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_MAX_TERM_DEPTH = 256  # deeper terms would overflow the recursion of parsing and evaluation
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -339,40 +370,60 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def term(self, depth: int = 0) -> Term:
-        tok = self.take()
-        kind, value, col = tok
-        if depth > _MAX_TERM_DEPTH:
-            raise ParseError(f"term nested deeper than {_MAX_TERM_DEPTH} levels at column {col}")
-        if kind == "int":
-            if value != "0":
-                raise ParseError(f"only the constant 0 is allowed, found {value!r} at column {col}")
-            return ZERO
-        if kind == "name":
-            if value.startswith("x") and value[1:].isdigit():
+    def term(self) -> Term:
+        """Read one term.
+
+        The constructs still open are kept on a stack, not in recursion, so
+        nesting costs no interpreter frames; a token inside more than
+        _MAX_TERM_DEPTH open constructs is refused.
+        """
+        stack: list[tuple[str, list[Term]]] = []  # (operation name, "-" or "+"; args so far)
+        while True:
+            kind, value, col = self.take()
+            if len(stack) > _MAX_TERM_DEPTH:
+                raise ParseError(f"term nested deeper than {_MAX_TERM_DEPTH} levels at column {col}")
+            if kind == "int":
+                if value != "0":
+                    raise ParseError(f"only the constant 0 is allowed, found {value!r} at column {col}")
+                node: Term = ZERO
+            elif kind == "name" and value.startswith("x") and value[1:].isdigit():
                 index = int(value[1:])
                 if index < 1:
                     raise ParseError(f"variable indices are 1-based, found {value!r} at column {col}")
-                return Var(index)
-            self.take("(")
-            args = [self.term(depth + 1)]
-            while self.peek() and self.peek()[0] == ",":
-                self.take(",")
-                args.append(self.term(depth + 1))
-            self.take(")")
-            return Op(value, tuple(args))
-        if kind == "(":
-            if self.peek() and self.peek()[0] == "-":
-                self.take("-")
-                child = self.term(depth + 1)
+                node = Var(index)
+            elif kind == "name":
+                self.take("(")
+                stack.append((value, []))
+                continue
+            elif kind == "(":
+                if self.peek() and self.peek()[0] == "-":
+                    self.take("-")
+                    stack.append(("-", []))
+                else:
+                    stack.append(("+", []))
+                continue
+            else:
+                raise ParseError(f"unexpected token {value!r} at column {col}")
+            # Close every construct the node completes; stop at one that takes more.
+            while stack:
+                name, args = stack[-1]
+                args.append(node)
+                if name == "+" and len(args) == 1:
+                    self.take("+")
+                    break
+                if name not in ("+", "-") and self.peek() and self.peek()[0] == ",":
+                    self.take(",")
+                    break
                 self.take(")")
-                return Neg(child)
-            left = self.term(depth + 1)
-            self.take("+")
-            right = self.term(depth + 1)
-            self.take(")")
-            return Add(left, right)
-        raise ParseError(f"unexpected token {value!r} at column {col}")
+                stack.pop()
+                if name == "-":
+                    node = Neg(node)
+                elif name == "+":
+                    node = Add(*args)
+                else:
+                    node = Op(name, tuple(args))
+            else:
+                return node
 
 
 def parse_term(text: str) -> Term:

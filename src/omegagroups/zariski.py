@@ -14,15 +14,17 @@ every operation to the tuples of rows that touch the frontier (the rows the
 previous round added), split by the position j of their first frontier row,
 with older rows before j and any row after it, so each tuple is formed once.
 Tuples are formed in blocks of a few million entries.  The rows seen so far
-are one exact set, ``_RowSet``: each row is packed into one or a few 64-bit
-words and the set keeps the packed keys sorted, so a round's values are
-packed, sorted, matched against the seen keys by binary search and merged
-in, and the new keys unpacked to form the next frontier.  The callers differ
-only in data: the operations, the start rows, a row cap, a round limit (the
-bounded-depth oracle) and an early-exit predicate (the per-candidate
-separator search).  A round that would form more than _ROUND_ENTRIES
-entries is refused before it forms any.  Multiadditive algebras grow their
-tables as an additive span instead, through the same set.
+are one exact set, ``_RowSet``: each row's key is packed into one or a few
+64-bit words and the set keeps the packed keys sorted, so a round's values
+are packed, sorted, matched against the seen keys by binary search and
+merged in, and the new keys unpacked to form the next frontier.  A row may
+be keyed on its first cells only, the rest a payload kept with the key, and
+a payload column that takes two values under one key is knocked out.  The
+callers differ only in data: the operations, the start rows, the key width,
+a row cap and a round limit (the bounded-depth oracle).  A round that would
+form more than _ROUND_ENTRIES entries is refused before it forms any.
+Multiadditive algebras grow their tables as an additive span instead,
+through the same set.
 
 One candidate loop, ``_closure_members``, serves ``zariski_closure``,
 ``closure_excess_point``, ``point_in_closure`` and the lattice.  It yields
@@ -37,13 +39,17 @@ cross-checked in the test suite:
   the monomial rows over the additive group (a Howell form at each prime of
   |H|) leaves rows spanning the term functions that vanish on the point
   set, and the candidates where they all vanish are the closure;
-* off the table, over other algebras, per-candidate worklists: a closure of
-  product rows that stops at the first separating row.
+* off the table, over other algebras, the keyed route: one closure of the
+  projections over the columns A plus the candidates, keyed on the A
+  columns.  Its rows are the term functions restricted to A, the coordinate
+  algebra of A, and a candidate c lies in the closure exactly when x_i ->
+  c_i extends to a homomorphism from it to H, that is when c's column is a
+  function of the key (Plotkin's Hom(Gamma(A), H) description of the
+  closure).
 
-Off the table the joint reduction is tried once; when its monomial rows
-grow too many, or the algebra is not multiadditive, the remaining
-candidates are decided one at a time in a single loop, each by its own
-reduction or its own worklist.
+Off the table the candidate loop decides all candidates by one joint
+reduction or keyed closure while it fits its entry budget, and otherwise
+the same route one candidate at a time.
 """
 
 from __future__ import annotations
@@ -241,9 +247,15 @@ class _RowSet:
     sort and search as fast as one word.  Equal folds are checked to be
     equal keys; the first pair that is not turns the set, for good, to
     sorting its keys bytewise as they are.
+
+    A keyed set also holds a payload of `payload` cells per key, taken from
+    one of the rows added with that key.  `missing` and `add` then take the
+    rows' payloads beside their keys and return, with the new keys and
+    their payloads, the clash: a mask of the payload columns on which two
+    rows of one key differ, among the rows given or against the set.
     """
 
-    def __init__(self, width: int, top: int):
+    def __init__(self, width: int, top: int, payload: int = 0):
         fits = [bits for bits in (1, 2, 4, 8) if top >> bits == 0]
         words = max(1, -(-width * fits[0] // 64))
         self.bits = max(bits for bits in fits if width * bits <= 64 * words)
@@ -253,11 +265,13 @@ class _RowSet:
         self.keys = np.empty(0, dtype=self.dtype)
         self.folded = words > 1
         self.order = np.empty(0, dtype=np.uint64) if self.folded else self.keys
+        # aligned with keys, in a keyed set
+        self.payload = np.empty((0, payload), dtype=np.uint8) if payload else None
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
-        """One key per row of a uint8 array shaped (N, width)."""
+        """One key per row of a uint8 array shaped (N, width) or wider (the key cells first)."""
         cells = np.zeros((rows.shape[0], 8 * self.dtype.itemsize // self.bits), dtype=np.uint8)
-        cells[:, : self.width] = rows
+        cells[:, : self.width] = rows[:, : self.width]
         x = cells.view("<u8")
         for shift, mask in _MERGES[self.bits]:
             x |= x >> shift
@@ -275,15 +289,24 @@ class _RowSet:
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         """A boolean mask: which keys are in the set."""
-        return self._exact(lambda: self._contains(keys, self._order(keys)))
+        return self._exact(lambda: self._contains(keys, self._order(keys))[0])
 
-    def missing(self, keys: np.ndarray) -> np.ndarray:
-        """The distinct keys not in the set, in the set's order."""
-        return self._exact(lambda: self._missing(keys))[0]
+    def missing(self, keys: np.ndarray, payload: np.ndarray | None = None):
+        """The distinct keys not in the set, in the set's order.
 
-    def add(self, keys: np.ndarray) -> np.ndarray:
-        """Add the keys; returns those that were new, distinct and in order."""
-        new, order = self._exact(lambda: self._missing(keys))
+        With a payload, returns (keys, payload, clash) (class docstring).
+        """
+        new, _, extra, clash = self._exact(lambda: self._missing(keys, payload))
+        return new if payload is None else (new, extra, clash)
+
+    def add(self, keys: np.ndarray, payload: np.ndarray | None = None):
+        """Add the keys; returns those that were new, distinct and in order.
+
+        With a payload, returns (keys, payload, clash) (class docstring).
+        """
+        if payload is not None:
+            return self._exact(lambda: self._merge(keys, payload))
+        new, order, _, _ = self._exact(lambda: self._missing(keys, None))
         # A stable sort of two sorted runs is a linear merge.
         if self.folded:
             order = np.concatenate([self.order, order])
@@ -293,12 +316,42 @@ class _RowSet:
             self.keys = self.order = np.sort(np.concatenate([self.keys, new]), kind="stable")
         return new
 
+    def _merge(self, keys: np.ndarray, payload: np.ndarray):
+        """add() with a payload: the keys sorted, then merged with the set's in one stable sort.
+
+        Each run of equal keys then starts with the set's own key, if it has
+        one, and a clash is a payload that differs from the one before it in
+        the run.  The state changes only at the end, so a _Collision retries
+        from the same set.
+        """
+        by = np.argsort(self._order(keys))
+        keys, payload = keys[by], payload[by]
+        # A stable sort of two sorted runs is a linear merge.
+        order = np.concatenate([self.order, self._order(keys)])
+        by = np.argsort(order, kind="stable")
+        order = order[by]
+        every = np.concatenate([self.keys, keys])[by] if self.folded else order
+        payload = np.concatenate([self.payload, payload])[by]
+        repeats = order[1:] == order[:-1]
+        if self.folded and (every[1:][repeats] != every[:-1][repeats]).any():
+            raise _Collision
+        clash = (payload[1:][repeats] != payload[:-1][repeats]).any(axis=0)
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = ~repeats
+        new = first & (by >= len(self.keys))
+        self.order, self.payload = order[first], payload[first]
+        self.keys = every[first] if self.folded else self.order
+        return every[new], payload[new], clash
+
     def _exact(self, query):
         try:
             return query()
         except _Collision:
             self.folded = False
-            self.keys = self.order = np.sort(self.keys)
+            by = np.argsort(self.keys)
+            self.keys = self.order = self.keys[by]
+            if self.payload is not None:
+                self.payload = self.payload[by]
             return query()
 
     def _order(self, keys: np.ndarray) -> np.ndarray:
@@ -306,31 +359,47 @@ class _RowSet:
             return keys
         return _fold(keys.view("<u8").reshape(len(keys), self.dtype.itemsize // 8))
 
-    def _contains(self, keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    def _contains(self, keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which keys are in the set, and the index in the set of each one found."""
         if not len(self.keys):
-            return np.zeros(len(keys), dtype=bool)
+            return np.zeros(len(keys), dtype=bool), None
         # The last sort key <= each one; index -1 (the largest) when there is none.
         at = np.searchsorted(self.order, order, side="right") - 1
         found = self.order[at] == order
         if self.folded and (self.keys[at[found]] != keys[found]).any():
             raise _Collision
-        return found
+        return found, at
 
-    def _missing(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _missing(self, keys: np.ndarray, payload: np.ndarray | None):
         order = self._order(keys)
-        if self.folded:
+        if self.folded or payload is not None:
             by = np.argsort(order)
-            keys, order = keys[by], order[by]
+            order = order[by]
+            keys = keys[by] if self.folded else order
+            payload = None if payload is None else payload[by]
         else:
             keys = order = np.sort(keys)
         repeats = order[1:] == order[:-1]
         if self.folded and (keys[1:][repeats] != keys[:-1][repeats]).any():
             raise _Collision
-        distinct = np.ones(len(keys), dtype=bool)
-        distinct[1:] = ~repeats
-        keys, order = keys[distinct], order[distinct]
-        new = ~self._contains(keys, order)
-        return keys[new], order[new]
+        clash = None if payload is None else np.zeros(payload.shape[1], dtype=bool)
+        if repeats.any():
+            distinct = np.ones(len(keys), dtype=bool)
+            distinct[1:] = ~repeats
+            if payload is not None:
+                # Each row against the one before it of the same key.
+                clash |= (payload[1:][repeats] != payload[:-1][repeats]).any(axis=0)
+                payload = payload[distinct]
+            order = order[distinct]
+            keys = keys[distinct] if self.folded else order
+        found, at = self._contains(keys, order)
+        new = ~found
+        if payload is not None:
+            if found.any():  # each key against the set
+                clash |= (payload[found] != self.payload[at[found]]).any(axis=0)
+            payload = payload[new]
+        order = order[new]
+        return keys[new] if self.folded else order, order, payload, clash
 
 
 def _close_rows(
@@ -338,30 +407,89 @@ def _close_rows(
     start: np.ndarray,
     row_cap: int | None = None,
     steps: int | None = None,
-    stop: Callable[[np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray, bool]:
+    key_width: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Close the start rows under ops (arrays shaped (n,)*arity), componentwise.
 
-    Returns (rows, stopped).  The distinct start rows form the first
-    frontier; each round forms the values on the tuples touching it (module
-    docstring) and keeps the new ones, in the set's order, as the next
-    frontier.  Once about _BLOCK_ENTRIES entries of values have gathered,
-    they are packed and their unseen keys added to the round's own set, so a
-    round holds distinct new keys, not every tuple it forms.  At most `steps`
-    rounds run.  `stop` sees the start rows and then every block of values;
-    when it returns True the search ends with the rows kept so far.  More
-    than row_cap rows raise _GridOverflow at the end of the round that
+    Returns (rows, alive).  Rows are keyed on their first key_width cells,
+    all of them by default; the cells after the key are a payload, taken
+    from one of the rows that reach each key.  The start rows of distinct
+    keys form the first frontier; each round forms the values on the tuples
+    touching it (module docstring) and keeps the rows of new keys, in the
+    set's order, as the next frontier.  Once about _BLOCK_ENTRIES entries of
+    values have gathered, they are packed and their unseen keys added to
+    the round's own set, so a round holds distinct new keys, not every
+    tuple it forms.  At most `steps` rounds run.
+
+    A row whose key is held with another payload knocks out the payload
+    columns where the two differ.  `alive` masks the start's payload columns
+    never knocked out.  Knocked-out columns leave the rows at the end of
+    each round, and a closure with a payload ends as soon as none of it is
+    left: at once, mid-round, with the key cells of the rows kept so far.
+
+    More than row_cap rows raise _GridOverflow at the end of the round that
     passes the cap; once the round's new keys alone pass it, the rest of the
-    round is only shown to `stop`.  A round whose tuples would form more than
-    _ROUND_ENTRIES entries raises _GridOverflow before it forms any.
+    round only knocks payload columns out.  A round whose tuples would form
+    more than _ROUND_ENTRIES entries raises _GridOverflow before it forms any.
     """
     top = max([int(start.max(initial=0))] + [int(op.max()) for op in ops])
-    seen = _RowSet(start.shape[1], top)
-    rows = frontier = seen.unpack(seen.add(seen.pack(start)))
-    if stop is not None and stop(frontier):
-        return rows, True
+    key_width = start.shape[1] if key_width is None else key_width
+    keyed = start.shape[1] > key_width
+    seen = _RowSet(key_width, top, start.shape[1] - key_width)
+    alive = np.ones(start.shape[1] - key_width, dtype=bool)
+    knocked = np.zeros_like(alive)  # over the payload columns the rows still hold
+
+    def gather(found: _RowSet, values: np.ndarray, check_only: bool) -> None:
+        """Knock out the clashes of values; add their keys not in seen to found.
+
+        With check_only, the keys are checked against found but not added.
+        """
+        nonlocal knocked
+        keys = seen.pack(values)
+        if not keyed:
+            found.add(seen.missing(keys))
+            return
+        keys, payload, clash = seen.missing(keys, values[:, key_width:])
+        knocked |= clash | (found.missing if check_only else found.add)(keys, payload)[2]
+
+    def grow(values: np.ndarray, found: _RowSet | None = None) -> np.ndarray:
+        """Add to seen the keys of found and of values; returns the rows of the new ones."""
+        nonlocal knocked
+        keys = seen.pack(values) if len(values) else seen.keys[:0]
+        payload = values[:, key_width:]
+        if found is not None and len(found.keys):
+            keys = np.concatenate([found.keys, keys])
+            payload = np.concatenate([found.payload, payload]) if keyed else payload
+        if not keyed:
+            return seen.unpack(seen.add(keys))
+        new, extra, clash = seen.add(keys, payload)
+        knocked |= clash
+        return np.concatenate([seen.unpack(new), extra], axis=1)
+
+    def finished() -> bool:
+        """Whether a keyed closure has no payload column left; then none is alive."""
+        if keyed and knocked.all():
+            alive[:] = False
+            return True
+        return False
+
+    rows, frontier = start[:0], grow(start)
     rounds = 0
-    while len(frontier) and (steps is None or rounds < steps):
+    while True:
+        if finished():
+            return rows[:, :key_width], alive
+        if keyed and knocked.any():  # the knocked-out columns leave
+            keep = ~knocked
+            alive[alive], knocked = keep, knocked[keep]
+            seen.payload = seen.payload[:, keep]
+            cells = np.concatenate([np.ones(key_width, dtype=bool), keep])
+            rows, frontier = rows[:, cells], frontier[:, cells]
+        if len(frontier):
+            rows = np.concatenate([rows, frontier]) if len(rows) else frontier
+            if row_cap is not None and len(rows) > row_cap:
+                raise _GridOverflow(len(rows))
+        if not len(frontier) or rounds == steps:
+            return rows, alive
         rounds += 1
         older = rows[: len(rows) - len(frontier)]
         walks = [
@@ -369,33 +497,30 @@ def _close_rows(
             for op in ops
             for j in range(op.ndim)
         ]
-        entries = seen.width * sum(prod(len(axis) for axis in axes) for _, axes in walks)
+        entries = rows.shape[1] * sum(prod(len(axis) for axis in axes) for _, axes in walks)
         if entries > _ROUND_ENTRIES:
             raise _GridOverflow(entries)
-        found = _RowSet(seen.width, top)
+        found = _RowSet(key_width, top, rows.shape[1] - key_width)
         batch, volume, overflow = [], 0, False
         for block in (block for op, axes in walks for block in _op_values(op, axes)):
-            if stop is not None and stop(block):
-                return rows, True
-            if overflow:
-                continue
             batch.append(block)
             volume += block.size
             if volume >= _BLOCK_ENTRIES:
-                found.add(seen.missing(seen.pack(np.concatenate(batch))))
+                gather(found, np.concatenate(batch), overflow)
                 batch, volume = [], 0
+                if finished():
+                    return rows[:, :key_width], alive
                 overflow = row_cap is not None and len(rows) + len(found.keys) > row_cap
-                if overflow and stop is None:
+                if overflow and not keyed:
                     break
+        last = np.concatenate(batch) if batch else rows[:0]
         if overflow:
+            if keyed:
+                gather(found, last, True)
+                if finished():
+                    return rows[:, :key_width], alive
             raise _GridOverflow(len(rows) + len(found.keys))
-        last = seen.pack(np.concatenate(batch)) if batch else found.keys[:0]
-        frontier = seen.unpack(seen.add(np.concatenate([found.keys, last])))
-        if len(frontier):
-            rows = np.concatenate([rows, frontier])
-            if row_cap is not None and rows.shape[0] > row_cap:
-                raise _GridOverflow(rows.shape[0])
-    return rows, False
+        frontier = grow(last, found)
 
 
 # --- term-function tables (grid route) --------------------------------------
@@ -522,6 +647,8 @@ def _closure_from_table(algebra, n_vars, pts, table: np.ndarray) -> frozenset[Po
 
 # --- pointwise membership ----------------------------------------------------
 
+_JOINT_ENTRIES = 1 << 18  # coordinates of the monomial rows of one joint reduction
+
 
 def _cell_index(algebra: FiniteOmegaGroup, point: Point) -> int:
     idx = 0
@@ -530,28 +657,23 @@ def _cell_index(algebra: FiniteOmegaGroup, point: Point) -> int:
     return idx
 
 
-def _worklist_membership(algebra, pts: list[Point], cand: Point) -> bool:
-    """Exact membership of one candidate.
+def _keyed_membership(algebra, pts: list[Point], candidates: list[Point], row_cap: int):
+    """A boolean mask: which candidates lie in the closure of pts.
 
-    The candidate is outside iff the subalgebra of the product over
-    (points + candidate) generated by the coordinate projections reaches an
-    element vanishing at every point but not at the candidate.  More than
-    WORKLIST_ROW_CAP rows raise _GridOverflow.
+    The closure of the coordinate projections over the columns pts +
+    candidates, keyed on the pts columns: its rows are then exactly the
+    term functions restricted to pts, at most one per key.  A candidate
+    lies in the closure iff x_i -> candidate_i extends to a homomorphism
+    from those restrictions to H, that is iff its column never takes two
+    values under one key (_close_rows knocks it out when it does).  More
+    than row_cap rows raise _GridOverflow.
     """
-    columns = np.array(list(pts) + [cand], dtype=np.uint8)
+    columns = np.array(pts + candidates, dtype=np.uint8)
     start = np.concatenate([np.zeros((1, columns.shape[0]), dtype=np.uint8), columns.T])
-
-    def separates(block: np.ndarray) -> bool:
-        return bool((~block[:, :-1].any(axis=1) & (block[:, -1] != 0)).any())
-
-    _, separated = _close_rows(_signature_ops(algebra), start, WORKLIST_ROW_CAP, stop=separates)
-    return not separated
+    return _close_rows(_signature_ops(algebra), start, row_cap, key_width=len(pts))[1]
 
 
 # --- the linear route (multiadditive algebras) --------------------------------
-
-_JOINT_ENTRIES = 1 << 18  # coordinates of the monomial rows of one joint reduction
-
 
 def _additive_coordinates(algebra: FiniteOmegaGroup) -> tuple[tuple[int, int, np.ndarray], ...]:
     """Coordinates of an abelian (H, +): one (p, q, coords) per prime p of |H|.
@@ -681,10 +803,14 @@ def _closure_members(
     Without `candidates` the whole grid is asked: the term-function table
     answers for method "grid", and for "auto" on grids of at most
     GRID_CELL_LIMIT cells whose table fits its cap.  Otherwise, and always
-    for given candidates (outside pts), the routes of the module docstring
-    decide them: the joint reduction while its monomial rows have at most
-    _JOINT_ENTRIES coordinates, then one candidate at a time under
-    WORKLIST_ROW_CAP.
+    for given candidates (outside pts), the zero point is taken first (every
+    term function vanishes there) and the rest are decided by the route of
+    the algebra (module docstring): the linear reduction over a
+    multiadditive algebra, the keyed closure over any other.  One joint
+    decision takes them all while its rows have at most _JOINT_ENTRIES
+    coordinates (16 times that many cells for a keyed closure); past that
+    budget the same route decides them one at a time under
+    WORKLIST_ROW_CAP, and a candidate past that cap raises TooLargeError.
     """
     if candidates is None:
         total = algebra.size**n_vars
@@ -700,28 +826,30 @@ def _closure_members(
         candidates = [p for p in grid_points(algebra.size, n_vars) if p not in pts]
     if candidates and not any(candidates[0]):
         yield candidates.pop(0)  # every term function vanishes at the zero point
+    if not candidates:
+        return
     sorted_pts = sorted(pts)
-    linear = _is_multiadditive(algebra)
-    if linear and candidates:
+    if _is_multiadditive(algebra):
+        decide, kept, entries = _linear_membership, "monomial rows", _JOINT_ENTRIES
         coordinates = _derived(algebra, "coordinates", _additive_coordinates)
-        width = (len(pts) + len(candidates)) * sum(coords.shape[1] for _, _, coords in coordinates)
-        try:
-            inside = _linear_membership(
-                algebra, sorted_pts, candidates, _JOINT_ENTRIES // max(1, width)
-            )
-        except _GridOverflow:
-            pass
-        else:
-            yield from (cand for cand, member in zip(candidates, inside) if member)
-            return
+        cells = sum(coords.shape[1] for _, _, coords in coordinates)
+    else:
+        # A keyed closure keeps no more rows than a one-candidate one of a
+        # member, so its budget bounds only memory: 16 times the entries of
+        # a reduction, as bytes, not int64 coordinates.
+        decide, kept, entries, cells = _keyed_membership, "product tuples", _JOINT_ENTRIES << 4, 1
+    width = (len(pts) + len(candidates)) * cells
+    try:
+        inside = decide(algebra, sorted_pts, candidates, entries // max(1, width))
+    except _GridOverflow:
+        pass
+    else:
+        yield from (cand for cand, member in zip(candidates, inside) if member)
+        return
     for cand in candidates:
         try:
-            if linear:
-                (member,) = _linear_membership(algebra, sorted_pts, [cand], WORKLIST_ROW_CAP)
-            else:
-                member = _worklist_membership(algebra, sorted_pts, cand)
+            (member,) = decide(algebra, sorted_pts, [cand], WORKLIST_ROW_CAP)
         except _GridOverflow as exc:
-            kept = "monomial rows" if linear else "product tuples"
             raise TooLargeError(
                 f"closure membership search exceeded {WORKLIST_ROW_CAP} {kept}"
             ) from exc
@@ -737,9 +865,9 @@ def point_in_closure(
 ) -> bool:
     """Decide whether candidate lies in the closure of the point set.
 
-    Always by a per-candidate route: the zero point is in every closure, and
-    any other candidate outside the set is decided by one reduction of the
-    monomial rows over a multiadditive algebra, by one worklist otherwise.
+    Never by the table: the zero point is in every closure, and any other
+    candidate outside the set is decided by one reduction of the monomial
+    rows over a multiadditive algebra, by one keyed closure otherwise.
     """
     pts = _point_set(algebra, n_vars, points)
     (cand,) = _validate_points(algebra, n_vars, [candidate])

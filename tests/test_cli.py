@@ -1,11 +1,12 @@
 import io
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from omegagroups.catalog import abelian_lie_f2, cyclic_ring, symmetric_group_3
+from omegagroups import cli
 from omegagroups.cli import dispatch, parse_algebra_file, serialize_algebra
 from omegagroups.core import validate_algebra
 from omegagroups.errors import OmegaZeroViolationError, ParseError
@@ -158,6 +159,30 @@ def test_usage_and_guard_errors(ring_files, tmp_path):
     assert code == 2
     bad_term = run_cli(["solve", ring_files[3], "--vars", "2", "--eq", "mul(x1"])
     assert bad_term[0] == 2
+
+
+def test_cached_parser_answers_as_fresh_ones(ring_files):
+    """A failing parse leaves the one cached parser as it was built."""
+    runs = [
+        ["closure", ring_files[3], "--vars", "two", "--points", "1,1"],  # exit 2 in argparse
+        ["closure", ring_files[3], "--vars", "2", "--points", "1,0;0,1"],
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = dispatch(argv)
+            out.append((code, stdout.getvalue(), stderr.getvalue()))
+        return out
+
+    cached = answers(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in cached] == [2, 0] and cached[0][2]
+    assert cached == answers(fresh=True)
 
 
 def test_catalog_text_output_runs():

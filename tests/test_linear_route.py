@@ -37,6 +37,8 @@ from omegagroups.zariski import (
     zariski_closure,
 )
 
+from reference import worklist_membership
+
 CATALOG = {entry.name: entry.algebra for entry in build_catalog()}
 
 
@@ -80,7 +82,7 @@ def test_linear_route_matches_the_worklist(monkeypatch, algebra, n_vars):
         expected = []
         for cand, member in zip(candidates, joint):
             (alone,) = zariski._linear_membership(algebra, pts, [cand], zariski.WORKLIST_ROW_CAP)
-            worklist = zariski._worklist_membership(algebra, pts, cand)
+            worklist = worklist_membership(algebra, pts, cand)
             assert member == alone == worklist, (algebra.name, pts, cand)
             if member:
                 expected.append(cand)

@@ -6,7 +6,7 @@ import pytest
 from omegagroups import terms
 from omegagroups.catalog import cyclic_group, cyclic_ring, symmetric_group_3
 from omegagroups.core import direct_product
-from omegagroups.errors import ParseError, UnboundVariableError
+from omegagroups.errors import InvalidArgumentError, ParseError, UnboundVariableError
 from omegagroups.terms import (
     Add,
     Neg,
@@ -173,6 +173,28 @@ def test_parser_refuses_terms_nested_too_deep_to_evaluate():
     assert term_values(cyclic_ring(4), deepest, 1).shape == (4,)
     with pytest.raises(ParseError):
         parse_term("(- " * (depth + 1) + "x1" + ")" * (depth + 1))
+
+
+def test_terms_built_too_deep_are_refused_at_construction():
+    z4 = cyclic_ring(4)
+    chain = Var(1)
+    with pytest.raises(InvalidArgumentError):
+        for _ in range(1200):
+            chain = Neg(chain)
+    assert chain.depth == terms._MAX_NODE_DEPTH
+    for build in (lambda t: Add(t, ZERO), lambda t: Op("mul", (Var(1), t))):
+        term = Var(1)
+        with pytest.raises(InvalidArgumentError):
+            for _ in range(1200):
+                term = build(term)
+    deep = Var(1)
+    for _ in range(terms._MAX_TERM_DEPTH):
+        deep = Neg(deep)
+    assert deep.depth == 256 and hash(deep) == hash(Neg(deep.child))
+    assert term_values(z4, deep, 1).tolist() == [0, 1, 2, 3]  # an even number of negations
+    assert eval_term(z4, deep, [3]) == 3
+    # The depth takes no part in equality, hashing or repr.
+    assert "depth" not in repr(Neg(Var(1))) and Neg(Var(1)) == Neg(Var(1))
 
 
 def test_vars_of():

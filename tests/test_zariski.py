@@ -37,6 +37,8 @@ from omegagroups.zariski import (
     zariski_closure,
 )
 
+from reference import worklist_membership
+
 
 def axes(size):
     return {(a, 0) for a in range(size)} | {(0, b) for b in range(size)}
@@ -275,8 +277,8 @@ def test_row_kernel_matches_naive_closure(monkeypatch):
             ops = [rng.integers(0, 5, size=(5,) * arity) for arity in arities]
             ops = [np.where(rng.random(op.shape) < 0.9, 0, op) for op in ops]
             start = rng.integers(0, 5, size=(2, 2), dtype=np.uint8)
-            rows, stopped = zariski._close_rows(ops, start)
-            assert not stopped and len({row.tobytes() for row in rows}) == len(rows)
+            rows, alive = zariski._close_rows(ops, start)
+            assert not alive.size and len({row.tobytes() for row in rows}) == len(rows)
             assert {tuple(int(x) for x in row) for row in rows} == naive_row_closure(ops, start)
     # Wider rows over carriers whose cells pack into 1, 2, 4 and 8 bits, and
     # rows of two words.  The start columns repeat a few column patterns, so
@@ -299,8 +301,8 @@ def test_row_kernel_matches_naive_closure(monkeypatch):
                 ops = [np.where(rng.random(op.shape) < 0.5, 0, op) for op in ops]
                 columns = rng.integers(0, n, size=(2, patterns), dtype=np.uint8)
                 start = columns[:, rng.integers(0, patterns, size=width)]
-                rows, stopped = zariski._close_rows(ops, start)
-                assert not stopped and len({row.tobytes() for row in rows}) == len(rows)
+                rows, alive = zariski._close_rows(ops, start)
+                assert not alive.size and len({row.tobytes() for row in rows}) == len(rows)
                 assert {tuple(int(x) for x in row) for row in rows} == naive_row_closure(
                     ops, start
                 ), (n, width, arities)
@@ -382,24 +384,65 @@ def test_row_set_stays_exact_when_folds_collide(monkeypatch, fold):
     assert not row_set.folded
 
 
+def test_keyed_row_kernel_matches_the_naive_closure(monkeypatch):
+    """A payload column stays alive iff it is a function of the key on the whole closure."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for arities in [(2,), (1, 2), (1, 3)] * 4:
+        ops = [rng.integers(0, 3, size=(3,) * arity) for arity in arities]
+        ops = [np.where(rng.random(op.shape) < 0.5, 0, op) for op in ops]
+        key_width, width = int(rng.integers(0, 3)), int(rng.integers(3, 5))
+        # Columns repeat three patterns, so that some payload columns are
+        # functions of the key and others are not.
+        start = rng.integers(0, 3, size=(3, 3), dtype=np.uint8)[:, rng.integers(0, 3, size=width)]
+        values = {}
+        for row in naive_row_closure(ops, start):
+            values.setdefault(row[:key_width], set()).add(row[key_width:])
+        expected = [all(len({v[c] for v in vs}) == 1 for vs in values.values())
+                    for c in range(width - key_width)]
+        cases.append((ops, start, key_width, values, expected))
+    assert any(any(e) and not all(e) for *_, e in cases)  # columns both kept and knocked out
+    for block_entries in (zariski._BLOCK_ENTRIES, 7):  # 7: every block gathered on its own
+        monkeypatch.setattr(zariski, "_BLOCK_ENTRIES", block_entries)
+        for ops, start, key_width, values, expected in cases:
+            rows, alive = zariski._close_rows(ops, start, key_width=key_width)
+            assert alive.tolist() == expected
+            keys = {tuple(int(x) for x in row[:key_width]) for row in rows}
+            assert len(keys) == len(rows)
+            if any(expected):
+                assert keys == set(values)
+                kept = [c for c, live in enumerate(expected) if live]
+                for row in rows.tolist():
+                    (value,) = {tuple(v[c] for c in kept) for v in values[tuple(row[:key_width])]}
+                    assert tuple(row[key_width:]) == value
+
+
 def test_close_rows_without_operations_keeps_the_distinct_start_rows():
     start = np.array([[3, 0, 1], [0, 0, 0], [3, 0, 1]], dtype=np.uint8)
-    rows, stopped = zariski._close_rows([], start)
-    assert not stopped
+    rows, alive = zariski._close_rows([], start)
+    assert not alive.size
     assert sorted(map(tuple, rows.tolist())) == [(0, 0, 0), (3, 0, 1)]
-    rows, stopped = zariski._close_rows([], start[:0])
-    assert not stopped and rows.shape == (0, 3)
-    rows, stopped = zariski._close_rows([], start[:1], stop=lambda block: bool(block.any()))
-    assert stopped and rows.tolist() == [[3, 0, 1]]
+    rows, alive = zariski._close_rows([], start[:0])
+    assert not alive.size and rows.shape == (0, 3)
+    # Keyed on two cells, the third a payload: equal payloads under one key
+    # keep the column, and a second value under a key knocks it out.
+    rows, alive = zariski._close_rows([], start, key_width=2)
+    assert alive.tolist() == [True] and rows.tolist() == [[0, 0, 0], [3, 0, 1]]
+    clash = np.array([[3, 0, 1, 2], [3, 0, 2, 2]], dtype=np.uint8)
+    rows, alive = zariski._close_rows([], clash, key_width=2)
+    assert alive.tolist() == [False, True] and rows.tolist() == [[3, 0, 2]]
 
 
 def test_worklist_separator_past_the_row_cap_keeps_its_verdict(monkeypatch):
-    """After a round's new rows pass the cap, its later blocks are still shown to `stop`."""
+    """The reference worklist keeps its verdict past the kernel's row cap, which it does not read.
+
+    The kernel's own knock-out past the cap is checked in test_keyed_route.py.
+    """
     s3, pts, cand = symmetric_group_3(), [(0, 2), (4, 1)], (5, 0)
-    assert not zariski._worklist_membership(s3, pts, cand)
+    assert not worklist_membership(s3, pts, cand)
     monkeypatch.setattr(zariski, "_BLOCK_ENTRIES", 8)
     monkeypatch.setattr(zariski, "WORKLIST_ROW_CAP", 7)  # passed before the separator forms
-    assert not zariski._worklist_membership(s3, pts, cand)
+    assert not worklist_membership(s3, pts, cand)
     start = np.concatenate([np.zeros((1, 3)), np.array([*pts, cand]).T]).astype(np.uint8)
     with pytest.raises(zariski._GridOverflow):  # the 12 rows of the full closure pass the cap
         zariski._close_rows(zariski._signature_ops(s3), start, 7)
