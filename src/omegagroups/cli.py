@@ -99,7 +99,7 @@ def parse_algebra_file(text: str) -> FiniteOmegaGroup:
 
     lineno, line = take()
     parts = line.split()
-    if parts[0] != "size" or len(parts) != 2 or not parts[1].isdigit():
+    if parts[0] != "size" or len(parts) != 2 or not parts[1].isdecimal():
         raise ParseError(f"line {lineno}: expected 'size <n>'")
     size = int(parts[1])
     if size < 1:
@@ -117,7 +117,7 @@ def parse_algebra_file(text: str) -> FiniteOmegaGroup:
     while pos < len(lines):
         lineno, line = take()
         parts = line.split()
-        if parts[0] != "op" or len(parts) != 3 or not parts[2].isdigit():
+        if parts[0] != "op" or len(parts) != 3 or not parts[2].isdecimal():
             raise ParseError(f"line {lineno}: expected 'op <name> <arity>'")
         op_name, arity = parts[1], int(parts[2])
         if not 1 <= arity <= MAX_ARITY:
@@ -158,6 +158,8 @@ def _load_algebra(path: str) -> FiniteOmegaGroup:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_algebra_file(text)
 
 

@@ -9,13 +9,13 @@ rejected rather than renumbered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     ArityMismatchError,
+    InvalidArgumentError,
     LawViolationError,
     MalformedTableError,
     NotAGroupError,
@@ -112,10 +112,6 @@ class FiniteOmegaGroup:
     def neg_of(self, a: int) -> int:
         return self.neg[a]
 
-    def sub(self, a: int, b: int) -> int:
-        """a + (-b)."""
-        return self.add[a * self.size + self.neg[b]]
-
     def op(self, name: str, *args: int) -> int:
         table = self._ops.get(name)
         if table is None:
@@ -139,9 +135,6 @@ class FiniteOmegaGroup:
     def conjugate(self, a: int, g: int) -> int:
         """-g + a + g."""
         return self.add_of(self.add_of(self.neg[g], a), g)
-
-    def tuple_add(self, xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.add_of(x, y) for x, y in zip(xs, ys))
 
 
 def apply_operation(algebra: FiniteOmegaGroup, op: str, args: Sequence[int]) -> int:
@@ -199,16 +192,13 @@ def _args(failure: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in failure) + ")"
 
 
-def _derive_neg(name: str, size: int, add: tuple[int, ...]) -> tuple[int, ...]:
-    neg = [-1] * size
-    for a in range(size):
-        for b in range(size):
-            if add[a * size + b] == 0 and add[b * size + a] == 0:
-                neg[a] = b
-                break
-        if neg[a] < 0:
-            raise NotAGroupError(f"{name}: element {a} has no two-sided inverse")
-    return tuple(neg)
+def _derive_neg(name: str, add: np.ndarray) -> tuple[int, ...]:
+    """-a for each a: the first b with a + b = b + a = 0."""
+    inverse = (add == 0) & (add.T == 0)
+    missing = ~inverse.any(axis=1)
+    if missing.any():
+        raise NotAGroupError(f"{name}: element {int(np.argmax(missing))} has no two-sided inverse")
+    return tuple(np.argmax(inverse, axis=1).tolist())
 
 
 def validate_algebra(
@@ -228,16 +218,19 @@ def validate_algebra(
         raise MalformedTableError(f"{name}: size must be positive, got {size}")
     add_t = _check_table("add", 2, add, size)
 
-    for a in range(size):
-        if add_t[a] != a or add_t[a * size] != a:
-            raise NotAGroupError(f"{name}: index 0 is not a two-sided identity at element {a}")
     add_a = _read_only(add_t, (size, size))
+    elements = np.arange(size)
+    off = (add_a[0] != elements) | (add_a[:, 0] != elements)
+    if off.any():
+        raise NotAGroupError(
+            f"{name}: index 0 is not a two-sided identity at element {int(np.argmax(off))}"
+        )
     failure = _first_failure(
         size, size * size, lambda a: add_a[add_a[a]] != add_a[a[:, None, None], add_a]
     )
     if failure:
         raise NotAGroupError(f"{name}: addition not associative at {_args(failure)}")
-    neg = _derive_neg(name, size, add_t)
+    neg = _derive_neg(name, add_a)
 
     tables = []
     seen: set[str] = set()
@@ -280,21 +273,28 @@ def homomorphism(
     if len(mapping) != source.size:
         raise MalformedTableError("mapping length must equal source size")
     m = tuple(mapping)
+    for x in m:
+        if not isinstance(x, (int, np.integer)) or not 0 <= x < target.size:
+            raise InvalidArgumentError(f"{x!r} is not an element of the carrier of {target.name}")
     if m[0] != 0:
         raise LawViolationError("mapping does not send 0 to 0")
-    for a in range(source.size):
-        for b in range(source.size):
-            if m[source.add_of(a, b)] != target.add_of(m[a], m[b]):
-                raise LawViolationError(f"mapping breaks add at ({a},{b})")
-    for a in range(source.size):
-        if m[source.neg_of(a)] != target.neg_of(m[a]):
-            raise LawViolationError(f"mapping breaks neg at {a}")
-    for op in source.omega:
-        for args in iproduct(range(source.size), repeat=op.arity):
-            lhs = m[source.op(op.name, *args)]
-            rhs = target.op(op.name, *(m[a] for a in args))
-            if lhs != rhs:
-                raise LawViolationError(f"mapping breaks {op.name} at {args}")
+    image = np.array(m, dtype=np.intp)
+    src, dst = source.arrays, target.arrays
+    names = ("add", "neg", *(op.name for op in source.omega))
+    for name, before, after in zip(names, (src.add, src.neg, *src.ops),
+                                   (dst.add, dst.neg, *dst.ops)):
+        k = before.ndim
+
+        def failures(a: np.ndarray) -> np.ndarray:
+            # m(f(a, ...)) against f(m(a), ...), the later arguments over the carrier
+            args = [image[a].reshape((-1,) + (1,) * (k - 1))]
+            args += [image.reshape((-1,) + (1,) * (k - 2 - i)) for i in range(k - 1)]
+            return image[before[a]] != after[tuple(args)]
+
+        failure = _first_failure(source.size, source.size ** (k - 1), failures)
+        if failure:
+            at = _args(failure) if name == "add" else failure[0] if name == "neg" else failure
+            raise LawViolationError(f"mapping breaks {name} at {at}")
     return Homomorphism(source, target, m)
 
 
@@ -309,30 +309,23 @@ def direct_product(
         raise SignatureMismatchError(f"{h1.name} x {h2.name}: signatures differ")
     n1, n2 = h1.size, h2.size
     size = n1 * n2
+    first, second = divmod(np.arange(size), n2)
 
-    def enc(a: int, b: int) -> int:
-        return a * n2 + b
+    def table(t1: np.ndarray, t2: np.ndarray) -> list[int]:
+        """t1 on the first components and t2 on the second, re-encoded as pairs."""
+        k = t1.ndim
+        shapes = [(-1,) + (1,) * (k - 1 - i) for i in range(k)]
+        firsts = tuple(first.reshape(shape) for shape in shapes)
+        seconds = tuple(second.reshape(shape) for shape in shapes)
+        return (t1[firsts] * n2 + t2[seconds]).ravel().tolist()
 
-    add = [0] * (size * size)
-    for a1, b1 in iproduct(range(n1), range(n2)):
-        x = enc(a1, b1)
-        for a2, b2 in iproduct(range(n1), range(n2)):
-            add[x * size + enc(a2, b2)] = enc(h1.add_of(a1, a2), h2.add_of(b1, b2))
-
-    omega = []
-    for op1 in h1.omega:
-        op2 = h2.operation(op1.name)
-        table = []
-        for args in iproduct(range(size), repeat=op1.arity):
-            firsts = tuple(x // n2 for x in args)
-            seconds = tuple(x % n2 for x in args)
-            table.append(enc(h1.op(op1.name, *firsts), h2.op(op1.name, *seconds)))
-        omega.append((op1.name, op1.arity, table))
-
+    v1, v2 = h1.arrays, h2.arrays
+    add = table(v1.add, v2.add)
+    omega = [(op.name, op.arity, table(t1, t2)) for op, t1, t2 in zip(h1.omega, v1.ops, v2.ops)]
     kind = h1.kind if h1.kind == h2.kind else "raw"
     prod = validate_algebra(name or f"{h1.name}x{h2.name}", size, add, omega, kind)
-    proj1 = Homomorphism(prod, h1, tuple(x // n2 for x in range(size)))
-    proj2 = Homomorphism(prod, h2, tuple(x % n2 for x in range(size)))
+    proj1 = Homomorphism(prod, h1, tuple(first.tolist()))
+    proj2 = Homomorphism(prod, h2, tuple(second.tolist()))
     return prod, proj1, proj2
 
 
@@ -383,20 +376,14 @@ def as_lie_ring(
     exponent p, bracket bilinearity, alternation, and the Jacobi identity.
     """
     size = _square_size(add)
-    scalars = []
-    base = validate_algebra(name, size, add, (), kind="raw")
-    for k in range(p):
-        table = []
-        for a in range(size):
-            acc = 0
-            for _ in range(k):
-                acc = base.add_of(acc, a)
-            table.append(acc)
-        scalars.append((f"s{k}", 1, table))
+    plus = validate_algebra(name, size, add, (), kind="raw").arrays.add
+    scalars, multiple = [], np.zeros(size, dtype=np.intp)
+    for k in range(p):  # multiple[a] = k * a
+        scalars.append((f"s{k}", 1, multiple.tolist()))
+        multiple = plus[multiple, np.arange(size)]
     algebra = validate_algebra(
         name, size, add, [("bracket", 2, bracket)] + scalars, kind="lie-ring"
     )
-    plus = _read_only(algebra.add, (size, size))
     br = _read_only(algebra.omega[0].table, (size, size))
 
     def pair_failures(a: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .closures import (
     _close,
     _commutator_scan,
@@ -178,12 +180,12 @@ def ring_satisfies_formula5(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
     """For rings: no nonzero pair with xy = yx = 0."""
     if algebra.kind != "ring":
         raise NotARingError(f"{algebra.name} was not built as a ring")
-    mul = algebra.operation("mul")
-    n = algebra.size
-    for x in range(1, n):
-        for y in range(1, n):
-            if mul.table[x * n + y] == 0 and mul.table[y * n + x] == 0:
-                return WitnessedVerdict(False, "two-sided-annihilating-pair", {"x": x, "y": y})
+    mul = algebra.arrays.ops[algebra.omega.index(algebra.operation("mul"))]
+    annihilating = (mul == 0) & (mul.T == 0)
+    annihilating[0] = annihilating[:, 0] = False
+    if annihilating.any():
+        x, y = np.unravel_index(np.argmax(annihilating), annihilating.shape)
+        return WitnessedVerdict(False, "two-sided-annihilating-pair", {"x": int(x), "y": int(y)})
     return WitnessedVerdict(True, "two-sided-annihilating-pair")
 
 
@@ -198,29 +200,19 @@ def group_zero_divisor_sets(
     """
     if algebra.omega:
         raise NotAGroupError(f"{algebra.name} has extra operations; expected a pure group")
-    n = algebra.size
-    conjugates = {
-        a: sorted({algebra.conjugate(a, g) for g in range(n)}) for a in range(n)
-    }
-
-    def both_classes_commute(a: int, b: int) -> bool:
-        return all(
-            algebra.group_commutator(x, y) == 0
-            for x in conjugates[a]
-            for y in conjugates[b]
-        )
-
-    def class_commutes_with(a: int, b: int) -> bool:
-        return all(algebra.group_commutator(x, b) == 0 for x in conjugates[a])
-
-    set_pair = frozenset(
-        a
-        for a in range(1, n)
-        if any(both_classes_commute(a, b) for b in range(1, n))
-    )
-    set_single = frozenset(
-        a
-        for a in range(1, n)
-        if any(class_commutes_with(a, b) for b in range(1, n))
-    )
+    view = algebra.arrays
+    elements = np.arange(algebra.size)
+    # classes[a, x]: x is a conjugate -g + a + g of a
+    conjugates = view.add[view.add[view.neg, elements[:, None]], elements]
+    classes = np.zeros((algebra.size,) * 2, dtype=bool)
+    classes[elements[:, None], conjugates] = True
+    # clash[x, y]: the group commutator -x - y + x + y is nonzero
+    minus = view.add[view.neg[:, None], view.neg]  # -x - y
+    clash = view.add[view.add[minus, elements[:, None]], elements] != 0
+    # [a, b]: some conjugate of a fails to commute with some conjugate of b
+    # (pair), or with b itself (single); a and b run over the nonzero elements.
+    pair_clash = (classes @ clash @ classes.T)[1:, 1:]
+    single_clash = (classes @ clash)[1:, 1:]
+    set_pair = frozenset((1 + np.nonzero((~pair_clash).any(axis=1))[0]).tolist())
+    set_single = frozenset((1 + np.nonzero((~single_clash).any(axis=1))[0]).tolist())
     return set_pair, set_single

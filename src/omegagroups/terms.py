@@ -148,27 +148,7 @@ def vars_of(t: Term) -> frozenset[int]:
 
 def eval_term(algebra: FiniteOmegaGroup, t: Term, point: Sequence[int]) -> int:
     """Evaluate t at the point (one carrier value per variable)."""
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, Var):
-        if t.index > len(point):
-            raise UnboundVariableError(f"x{t.index} not covered by a {len(point)}-tuple")
-        return point[t.index - 1]
-    if isinstance(t, Neg):
-        return algebra.neg_of(eval_term(algebra, t.child, point))
-    if isinstance(t, Add):
-        return algebra.add_of(
-            eval_term(algebra, t.left, point), eval_term(algebra, t.right, point)
-        )
-    if isinstance(t, Op):
-        table = algebra.operation(t.name)
-        if len(t.args) != table.arity:
-            raise ArityMismatchError(
-                f"{t.name}: expected {table.arity} arguments, got {len(t.args)}"
-            )
-        args = [eval_term(algebra, a, point) for a in t.args]
-        return table.table[table.flat_index(args, algebra.size)]
-    raise TypeError(f"not a term: {t!r}")
+    return int(term_values(algebra, t, len(point), points=[point])[0])
 
 
 def _coordinate_vectors(size: int, n_vars: int) -> list[np.ndarray]:
@@ -230,10 +210,11 @@ def omega_commutator(
     table = algebra.operation(name)
     if len(a) != table.arity or len(b) != table.arity:
         raise ArityMismatchError(f"{name}: tuples must have length {table.arity}")
-    wa = table.table[table.flat_index(a, algebra.size)]
-    wb = table.table[table.flat_index(b, algebra.size)]
-    wab = table.table[table.flat_index(algebra.tuple_add(a, b), algebra.size)]
-    return algebra.add_of(algebra.add_of(algebra.neg_of(wa), algebra.neg_of(wb)), wab)
+    view = algebra.arrays
+    w, plus = view.ops[algebra.omega.index(table)], view.add
+    wa, wb = w[tuple(a)], w[tuple(b)]
+    wab = w[tuple(plus[x, y] for x, y in zip(a, b))]
+    return int(plus[plus[view.neg[wa], view.neg[wb]], wab])
 
 
 def is_commutator_word(
@@ -254,13 +235,13 @@ def is_commutator_word(
     if set(x_vars) & set(y_vars):
         raise ValueError("variable blocks must be disjoint")
     n_vars = max(declared, default=0)
-    for zeroed, live in ((y_vars, x_vars), (x_vars, y_vars)):
-        for values in iproduct(algebra.elements, repeat=len(live)):
-            point = [0] * n_vars
-            for v, val in zip(live, values):
-                point[v - 1] = val
-            if eval_term(algebra, t, point) != 0:
-                return False
+    for live in (x_vars, y_vars):  # the other block set to zero
+        coords = _coordinate_vectors(algebra.size, len(live))
+        points = np.zeros((algebra.size ** len(live), n_vars), dtype=np.int64)
+        for v, values in zip(live, coords):
+            points[:, v - 1] = values
+        if term_values(algebra, t, n_vars, points=points).any():
+            return False
     return True
 
 

@@ -943,6 +943,8 @@ def enumerate_algebraic_sets(
     their closures; the lattice laws are array operations on their pairwise
     unions and intersections.
     """
+    if n_vars < 1:
+        raise InvalidArgumentError("n_vars must be at least 1")
     if n_vars == 1:
         if algebra.size > 8:
             raise TooLargeError("n_vars=1 enumeration is limited to carriers of size 8")
@@ -1009,6 +1011,8 @@ def bounded_depth_ideal_oracle(
     result is a superset of the closure that shrinks toward it as the depth
     grows; it is an oracle for the closure routines, independent of them.
     """
+    if max_depth < 0:
+        raise InvalidArgumentError(f"max_depth must be at least 0, got {max_depth}")
     if algebra.size > 4 or n_vars > 2 or max_depth > 4:
         raise TooLargeError("oracle guard: size <= 4, n_vars <= 2, max_depth <= 4")
     pts = _validate_points(algebra, n_vars, points)

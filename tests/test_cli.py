@@ -4,6 +4,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagroups.catalog import abelian_lie_f2, cyclic_ring, symmetric_group_3
 from omegagroups import cli
@@ -202,15 +204,28 @@ def test_catalog_text_output_runs():
         ["solve", "{ring4}", "--vars", "8000", "--eq", "x1"],
         ["solve", "{ring4}", "--vars", "1", "--eq", "(- " * 1200 + "x1" + ")" * 1200],
         ["solve", "{ring4}", "--vars", "1", "--eq", "mul(" * 800 + "x1" + ",x1)" * 800],
+        ["validate", "{binary}"],
+        ["check", "{binary}", "--property", "domain"],
+        ["solve", "{binary}", "--vars", "1", "--eq", "x1"],
+        ["closure", "{binary}", "--vars", "1", "--points", "0"],
+        ["lattice", "{binary}"],
+        ["validate", "{superscript}"],
     ],
     ids=["validate-zero-arity", "closure-point-off-carrier", "solve-zero-vars",
-         "closure-huge-vars", "solve-huge-vars", "solve-deep-negation", "solve-deep-product"],
+         "closure-huge-vars", "solve-huge-vars", "solve-deep-negation", "solve-deep-product",
+         "validate-not-utf8", "check-not-utf8", "solve-not-utf8", "closure-not-utf8",
+         "lattice-not-utf8", "validate-superscript-size"],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, ring_files, tmp_path):
     zero_arity = tmp_path / "zero-arity.alg"
     zero_arity.write_text("algebra u\nsize 2\nadd\n0 1\n1 0\nop u 0\n")
+    binary = tmp_path / "binary.alg"  # a Z2 group file with one byte that is not UTF-8
+    binary.write_bytes(b"algebra z2\nsize 2\nadd\n0 1\n1 0 \xff\n")
+    superscript = tmp_path / "superscript.alg"  # a digit that int() cannot read
+    superscript.write_text("algebra z2\nsize \u00b2\nadd\n0 1\n1 0\n", encoding="utf-8")
     rings = {"ring": ring_files[3], "ring4": ring_files[4]}
-    args = [a.format(zero_arity=zero_arity, **rings) for a in argv]
+    files = {"zero_arity": zero_arity, "binary": binary, "superscript": superscript}
+    args = [a.format(**files, **rings) for a in argv]
     done = subprocess.run(
         [sys.executable, "-m", "omegagroups.cli", *args], capture_output=True, text=True
     )
@@ -218,3 +233,71 @@ def test_bad_input_exits_2_with_one_error_line(argv, ring_files, tmp_path):
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+FUZZ_BASES = [
+    serialize_algebra(algebra).encode()
+    for algebra in (cyclic_ring(3), symmetric_group_3(), abelian_lie_f2())
+]
+# Pieces of a valid file, bytes that are not UTF-8, and digits int() refuses or reads.
+FUZZ_PIECES = [b"0", b"1", b"2", b"9", b"-1", b" ", b"\n", b"#", b"x", b"op f 1\n",
+               b"op mul 2\n", b"size ", b"add\n", b"\xff", b"\xc3", "\u00b2".encode(),
+               "\u0663".encode()]
+FUZZ_PROPERTIES = ["domain", "anticommutative", "c-anticommutative", "formula5", "remark1"]
+
+
+@st.composite
+def near_valid_files(draw):
+    """A catalog file with a few digits changed, or pieces inserted, replaced or deleted."""
+    text = draw(st.sampled_from(FUZZ_BASES))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # a table entry changed: the file still parses
+            at = draw(st.sampled_from([i for i, byte in enumerate(text) if byte in b"0123456789"]))
+            text = text[:at] + bytes([draw(st.sampled_from(b"0123456789"))]) + text[at + 1:]
+            continue
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        piece = draw(st.sampled_from(FUZZ_PIECES + [b""]))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+def answer(argv):
+    """Exit code and stderr of one in-process run; an escaping exception fails the test."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = dispatch(argv)
+    return code, stderr.getvalue()
+
+
+@given(text=near_valid_files(), prop=st.sampled_from(FUZZ_PROPERTIES))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_near_valid_files_exit_with_a_code_never_a_traceback(tmp_path_factory, text, prop):
+    path = tmp_path_factory.mktemp("fuzz") / "near.alg"
+    path.write_bytes(text)
+    for argv in (["validate", str(path)], ["check", str(path), "--property", prop]):
+        code, stderr = answer(argv)
+        assert code in (0, 1, 2) and "Traceback" not in stderr
+        assert code != 2 or stderr.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_rings(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("rings")
+    paths = []
+    for n in (3, 4):
+        path = folder / f"z{n}-ring.alg"
+        path.write_text(serialize_algebra(cyclic_ring(n)))
+        paths.append(str(path))
+    return paths
+
+
+@given(
+    points=st.text(alphabet="0123456789,;- .x\u00b2\u0663", max_size=16),
+    n_vars=st.sampled_from(["1", "2", "0", "-1", "x"]),
+)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_point_strings_exit_with_a_code_never_a_traceback(fuzz_rings, points, n_vars):
+    for ring in fuzz_rings:
+        code, stderr = answer(["closure", ring, "--vars", n_vars, "--points", points])
+        assert code in (0, 1, 2) and "Traceback" not in stderr

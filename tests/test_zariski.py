@@ -559,6 +559,20 @@ def test_oracle_guard():
         bounded_depth_ideal_oracle(cyclic_ring(4), 2, set(), 5)
 
 
+def test_oracle_refuses_a_negative_depth_before_any_work(monkeypatch):
+    """A negative depth never meets the round count, so it would close without bound."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the row kernel ran")
+
+    monkeypatch.setattr(zariski, "_close_rows", no_work)
+    monkeypatch.setattr(zariski, "_projection_rows", no_work)
+    for algebra in (cyclic_ring(3), cyclic_ring(4), cyclic_ring(5)):
+        for depth in (-1, -5):
+            with pytest.raises(InvalidArgumentError, match="max_depth"):
+                bounded_depth_ideal_oracle(algebra, 2, axes(algebra.size), depth)
+
+
 def test_equational_domain_examples():
     assert equational_domain_check(cyclic_ring(3)).verdict
     z4 = equational_domain_check(cyclic_ring(4))
@@ -603,6 +617,11 @@ def test_lattice_n2_guard_and_small_case():
         enumerate_algebraic_sets(cyclic_ring(4), 2)
     with pytest.raises(TooLargeError):
         enumerate_algebraic_sets(matrix_ring_m2_f2(), 1)
+    with pytest.raises(TooLargeError):
+        enumerate_algebraic_sets(cyclic_ring(2), 3)
+    for n_vars in (0, -1):  # fewer than one variable is a bad argument, not a large one
+        with pytest.raises(InvalidArgumentError):
+            enumerate_algebraic_sets(cyclic_ring(3), n_vars)
 
 
 def reference_enumerate_algebraic_sets(algebra, n_vars):
