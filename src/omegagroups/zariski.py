@@ -21,8 +21,11 @@ merged in, and the new keys unpacked to form the next frontier.  A row may
 be keyed on its first cells only, the rest a payload kept with the key, and
 a payload column that takes two values under one key is knocked out.  The
 callers differ only in data: the operations, the start rows, the key width,
-a row cap and a round limit (the bounded-depth oracle).  A round that would
-form more than _ROUND_ENTRIES entries is refused before it forms any.
+a row cap and a round limit.  The bounded-depth oracle runs its last round
+only on the columns it still reads: projecting rows onto a set of columns
+commutes with every round, because the operations act componentwise.  A
+round that would form more than _ROUND_ENTRIES entries is refused before it
+forms any.
 Multiadditive algebras grow their tables as an additive span instead,
 through the same set.
 
@@ -1010,15 +1013,35 @@ def bounded_depth_ideal_oracle(
     at depth 0, each operation adds one level), deduplicated pointwise.  The
     result is a superset of the closure that shrinks toward it as the depth
     grows; it is an oracle for the closure routines, independent of them.
+
+    The operations act on rows componentwise, so restricting the rows to a
+    set of cells commutes with every round.  The last round therefore runs
+    only on the point cells and the cells that no vanishing term of depth
+    max_depth - 1 has already excluded; the rounds before it run on the
+    whole grid.  A round past the row kernel's entry budget raises
+    TooLargeError; the narrowed last round can fit where the same round over
+    the whole grid would not.
     """
-    if max_depth < 0:
-        raise InvalidArgumentError(f"max_depth must be at least 0, got {max_depth}")
+    if not isinstance(max_depth, (int, np.integer)) or max_depth < 0:
+        raise InvalidArgumentError(f"max_depth must be an integer at least 0, got {max_depth!r}")
     if algebra.size > 4 or n_vars > 2 or max_depth > 4:
         raise TooLargeError("oracle guard: size <= 4, n_vars <= 2, max_depth <= 4")
     pts = _validate_points(algebra, n_vars, points)
-    start = _projection_rows(algebra, n_vars)
+    ops = _signature_ops(algebra)
+    cols = np.array([_cell_index(algebra, p) for p in pts], dtype=np.intp)
+
+    def common_zeros(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The columns where every row vanishing on the columns `at` vanishes."""
+        return (rows[(rows[:, at] == 0).all(axis=1)] == 0).all(axis=0)
+
     try:
-        rows, _ = _close_rows(_signature_ops(algebra), start, steps=max_depth)
+        rows, _ = _close_rows(ops, _projection_rows(algebra, n_vars), steps=max(max_depth - 1, 0))
+        members = common_zeros(rows, cols)
+        narrow = np.flatnonzero(members)  # holds cols: no vanishing row excludes a point
+        if max_depth and len(narrow) > len(cols):
+            last, _ = _close_rows(ops, rows[:, narrow], steps=1)
+            members[narrow] = common_zeros(last, np.searchsorted(narrow, cols))
     except _GridOverflow as exc:
         raise TooLargeError("oracle round exceeds the row kernel's entry budget") from exc
-    return _closure_from_table(algebra, n_vars, pts, rows)
+    cells = list(grid_points(algebra.size, n_vars))
+    return frozenset(cells[i] for i in np.flatnonzero(members))

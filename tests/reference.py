@@ -42,3 +42,19 @@ def worklist_membership(algebra, pts, cand):
         frontier = decode(new)
         rows = np.concatenate([rows, frontier])
     return True
+
+
+def full_width_oracle(algebra, n_vars, point_sets, max_depth):
+    """The bounded-depth oracle with every round over the whole grid.
+
+    The term functions of depth at most max_depth are closed as rows over
+    all cells and read by the grid route's table filter, once for each
+    point set.  Returns the list of zero sets, or None when a round passes
+    the row kernel's entry budget.
+    """
+    start = zariski._projection_rows(algebra, n_vars)
+    try:
+        table, _ = zariski._close_rows(zariski._signature_ops(algebra), start, steps=max_depth)
+    except zariski._GridOverflow:
+        return None
+    return [zariski._closure_from_table(algebra, n_vars, set(pts), table) for pts in point_sets]

@@ -25,6 +25,7 @@ from omegagroups.closures import (
     ideal_closure,
     is_ideal,
     is_omega_subgroup,
+    omega_subgroup_closure,
     principal_ideal,
 )
 from omegagroups.core import direct_product, validate_algebra
@@ -151,6 +152,34 @@ def test_engine_matches_reference_on_catalog():
 def test_engine_matches_reference_on_products(pair):
     algebra, _, _ = direct_product(CATALOG[pair[0]], CATALOG[pair[1]])
     check_against_reference(algebra)
+
+
+LARGER_PRODUCT_PAIRS = sorted(
+    (left, right)
+    for left, h1 in CATALOG.items()
+    for right, h2 in CATALOG.items()
+    if h1.signature == h2.signature and 16 < h1.size * h2.size <= 32
+)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.sampled_from(LARGER_PRODUCT_PAIRS), st.randoms(use_true_random=False))
+def test_ideal_closure_is_a_closure_operator_on_products(pair, rng):
+    """Extensive, monotone, idempotent, and its fixed points are the ideals,
+    in the whole product and inside a generated subgroup of it."""
+    algebra, _, _ = direct_product(CATALOG[pair[0]], CATALOG[pair[1]])
+    for _ in range(3):
+        ambient = omega_subgroup_closure(algebra, rng.sample(range(algebra.size), rng.randint(0, 2)))
+        for amb in (None, ambient):
+            pool = sorted(ambient if amb is not None else algebra.elements)
+            small = set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+            large = small | set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+            closed = ideal_closure(algebra, amb, small)
+            assert small <= closed <= ideal_closure(algebra, amb, large), pair
+            assert ideal_closure(algebra, amb, closed) == closed, pair
+            for subset in (small, large, closed, closed - {0}):
+                fixed = ideal_closure(algebra, amb, subset) == subset
+                assert is_ideal(algebra, subset, amb) == fixed, (pair, sorted(subset))
 
 
 def sparse_algebras(count, seed):

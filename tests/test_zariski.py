@@ -37,7 +37,7 @@ from omegagroups.zariski import (
     zariski_closure,
 )
 
-from reference import worklist_membership
+from reference import full_width_oracle, worklist_membership
 
 
 def axes(size):
@@ -552,6 +552,57 @@ def test_oracle_is_a_superset_at_low_depth():
         assert closure <= shallow
 
 
+def test_oracle_matches_the_full_width_oracle():
+    """The narrowed last round against every round over the whole grid.
+
+    Where only the full-width last round passes the entry budget (ternary
+    operations at two variables and depth 3), the narrowed round fits and
+    answers; its answer still lies between the closure and depth - 1.
+    """
+    rng = random.Random(15)
+    narrowed_only = 0
+    cases = [(algebra, n_vars) for algebra in SMALL_FOUR for n_vars in (1, 2)]
+    cases += [(algebra, n_vars) for algebra, _ in unary_ternary_algebras() for n_vars in (1, 2)]
+    for algebra, n_vars in cases:
+        cells = list(grid_points(algebra.size, n_vars))
+        for depth in range(5):
+            point_sets = [set(rng.sample(cells, min(k, len(cells)))) for k in range(6)]
+            expected = full_width_oracle(algebra, n_vars, point_sets, depth)
+            for i, pts in enumerate(point_sets):
+                case = (algebra.name, n_vars, depth, sorted(pts))
+                if expected is not None:
+                    assert bounded_depth_ideal_oracle(algebra, n_vars, pts, depth) == expected[i], case
+                elif full_width_oracle(algebra, n_vars, [pts], depth - 1) is None:
+                    with pytest.raises(TooLargeError):
+                        bounded_depth_ideal_oracle(algebra, n_vars, pts, depth)
+                else:
+                    narrowed_only += 1
+                    got = bounded_depth_ideal_oracle(algebra, n_vars, pts, depth)
+                    shallower = bounded_depth_ideal_oracle(algebra, n_vars, pts, depth - 1)
+                    assert zariski_closure(algebra, n_vars, pts) <= got <= shallower, case
+    assert narrowed_only == 12
+
+
+def test_restricting_rows_commutes_with_closing_them():
+    """Operations act componentwise, so the closure of the start restricted
+    to the columns S is the closure restricted to S, round by round."""
+    rng = random.Random(3)
+    for algebra in (cyclic_ring(4), symmetric_group_3()):
+        assert zariski._is_multiadditive(algebra) == (algebra.name == "Z4-ring")
+        ops = zariski._signature_ops(algebra)
+        start = zariski._projection_rows(algebra, 2)
+        width = start.shape[1]
+        for depth in range(4):
+            rows, _ = zariski._close_rows(ops, start, steps=depth)
+            for _ in range(6):
+                cols = sorted(rng.sample(range(width), rng.randint(1, width)))
+                narrowed, _ = zariski._close_rows(ops, start[:, cols], steps=depth)
+                assert len({row.tobytes() for row in narrowed}) == len(narrowed)
+                assert {row.tobytes() for row in narrowed} == {
+                    row.tobytes() for row in rows[:, cols]
+                }, (algebra.name, depth, cols)
+
+
 def test_oracle_guard():
     with pytest.raises(TooLargeError):
         bounded_depth_ideal_oracle(cyclic_ring(5), 2, set(), 4)
@@ -559,18 +610,37 @@ def test_oracle_guard():
         bounded_depth_ideal_oracle(cyclic_ring(4), 2, set(), 5)
 
 
-def test_oracle_refuses_a_negative_depth_before_any_work(monkeypatch):
-    """A negative depth never meets the round count, so it would close without bound."""
-
+@pytest.fixture
+def no_row_kernel(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the row kernel ran")
 
     monkeypatch.setattr(zariski, "_close_rows", no_work)
     monkeypatch.setattr(zariski, "_projection_rows", no_work)
+
+
+def test_oracle_refuses_a_negative_depth_before_any_work(no_row_kernel):
+    """A negative depth never meets the round count, so it would close without bound."""
     for algebra in (cyclic_ring(3), cyclic_ring(4), cyclic_ring(5)):
         for depth in (-1, -5):
             with pytest.raises(InvalidArgumentError, match="max_depth"):
                 bounded_depth_ideal_oracle(algebra, 2, axes(algebra.size), depth)
+
+
+def test_oracle_refuses_a_non_integer_depth_before_any_work(no_row_kernel):
+    """2.5 passes both range guards but never meets the round count either."""
+    for algebra in (cyclic_ring(3), cyclic_ring(4), cyclic_ring(5)):
+        for depth in (2.5, 3.0, np.float64(2), "3", None):
+            with pytest.raises(InvalidArgumentError, match="max_depth"):
+                bounded_depth_ideal_oracle(algebra, 2, axes(algebra.size), depth)
+
+
+def test_oracle_takes_a_numpy_integer_depth():
+    z4r = cyclic_ring(4)
+    for depth in range(5):
+        assert bounded_depth_ideal_oracle(z4r, 2, axes(4), np.int64(depth)) == (
+            bounded_depth_ideal_oracle(z4r, 2, axes(4), depth)
+        )
 
 
 def test_equational_domain_examples():
