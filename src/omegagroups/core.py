@@ -73,8 +73,8 @@ class FiniteOmegaGroup:
     kind: str = "raw"
     _ops: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
     _arrays: TableArrays | None = field(default=None, repr=False, compare=False, hash=False)
-    # What the Zariski layer derives from the tables (multiadditivity, additive
-    # coordinates), each filled in on first use by zariski._derived.
+    # Facts derived from the tables (multiadditivity, additive coordinates),
+    # each filled in on first use by _derived below.
     _linear: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -135,6 +135,41 @@ class FiniteOmegaGroup:
     def conjugate(self, a: int, g: int) -> int:
         """-g + a + g."""
         return self.add_of(self.add_of(self.neg[g], a), g)
+
+
+def _derived(algebra: FiniteOmegaGroup, name: str, build: Callable):
+    """build(algebra), kept with the algebra under `name` from its first use.
+
+    Threads racing on the first use each build an equal value and the last
+    store wins, as with ``algebra.arrays``.
+    """
+    facts = algebra._linear
+    if name not in facts:
+        facts[name] = build(algebra)
+    return facts[name]
+
+
+def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
+    """Addition commutative and every extra operation additive in each slot."""
+    return _derived(algebra, "multiadditive", _scan_multiadditive)
+
+
+def _scan_multiadditive(algebra: FiniteOmegaGroup) -> bool:
+    view = algebra.arrays
+    add = view.add
+    if not (add == add.T).all():
+        return False
+    for op in view.ops:
+        for slot in range(op.ndim):
+            moved = np.moveaxis(op, slot, 0)
+            # w(.., a + b, ..) == w(.., a, ..) + w(.., b, ..) for every a and b
+            if _first_failure(
+                algebra.size,
+                op.size,
+                lambda a: moved[add[a]] != add[moved[a][:, None], moved[None]],
+            ):
+                return False
+    return True
 
 
 def apply_operation(algebra: FiniteOmegaGroup, op: str, args: Sequence[int]) -> int:
@@ -311,19 +346,28 @@ def direct_product(
     size = n1 * n2
     first, second = divmod(np.arange(size), n2)
 
-    def table(t1: np.ndarray, t2: np.ndarray) -> list[int]:
+    def table(t1: np.ndarray, t2: np.ndarray) -> tuple[int, ...]:
         """t1 on the first components and t2 on the second, re-encoded as pairs."""
         k = t1.ndim
         shapes = [(-1,) + (1,) * (k - 1 - i) for i in range(k)]
         firsts = tuple(first.reshape(shape) for shape in shapes)
         seconds = tuple(second.reshape(shape) for shape in shapes)
-        return (t1[firsts] * n2 + t2[seconds]).ravel().tolist()
+        return tuple((t1[firsts] * n2 + t2[seconds]).ravel().tolist())
 
+    # Componentwise tables of two validated algebras are valid by construction:
+    # a group with identity (0, 0), the componentwise inverse as neg, and
+    # operations sending the zero tuple to (0, 0).  So nothing is re-validated.
     v1, v2 = h1.arrays, h2.arrays
-    add = table(v1.add, v2.add)
-    omega = [(op.name, op.arity, table(t1, t2)) for op, t1, t2 in zip(h1.omega, v1.ops, v2.ops)]
-    kind = h1.kind if h1.kind == h2.kind else "raw"
-    prod = validate_algebra(name or f"{h1.name}x{h2.name}", size, add, omega, kind)
+    omega = tuple(OperationTable(op.name, op.arity, table(t1, t2))
+                  for op, t1, t2 in zip(h1.omega, v1.ops, v2.ops))
+    prod = FiniteOmegaGroup(
+        name or f"{h1.name}x{h2.name}",
+        size,
+        table(v1.add, v2.add),
+        table(v1.neg, v2.neg),
+        omega,
+        h1.kind if h1.kind == h2.kind else "raw",
+    )
     proj1 = Homomorphism(prod, h1, tuple(first.tolist()))
     proj2 = Homomorphism(prod, h2, tuple(second.tolist()))
     return prod, proj1, proj2

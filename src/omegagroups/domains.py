@@ -3,6 +3,17 @@
 Each decision returns a WitnessedVerdict.  Falsifying-existential verdicts
 carry a witness mapping role names to carrier elements, so every reported
 failure can be replayed by hand.
+
+The domain-type predicates ask pair questions about the closures of single
+elements: principal ideals for the domain test and anticommutativity,
+generated subgroups for C-anticommutativity.  All those closures form one
+membership matrix M, row i the closure of the i-th element
+(``closures._close_all``).  On the batched route every pair question is a
+matrix product: the commutator of rows i and j is trivial iff
+(M clash M^T)[i, j] = 0 (``closures._clash``), and the two closures meet
+only in 0 iff M M^T, off column 0, is 0 there.  Elsewhere the commutators
+are scanned pair by pair, in the same row-major order, so the first pair
+found, and with it the witness, is the same on both routes.
 """
 
 from __future__ import annotations
@@ -12,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closures import (
-    _close,
+    _batched,
+    _clash,
+    _close_all,
     _commutator_scan,
     _indices,
     enumerate_ideals,
     enumerate_omega_subgroups,
-    generated_subgroup,
     is_omega_subgroup,
-    principal_ideal,
 )
 from .core import FiniteOmegaGroup
 from .errors import (
@@ -68,19 +79,39 @@ def zero_divisor_witness(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
     Verdict True means a zero-divisor pair exists; the scan is lexicographic
     in (a, b) so the reported witness is deterministic.
     """
-    ideals = {a: principal_ideal(algebra, a) for a in range(1, algebra.size)}
-    pair = _first_trivial_pair(algebra, ideals)
+    nonzero = list(range(1, algebra.size))
+    ideals = _closures(algebra, nonzero, np.arange(algebra.size))
+    pair = _first_trivial_pair(algebra, nonzero, ideals)
     if pair is None:
         return WitnessedVerdict(False, "principal-ideal-commutator")
     return WitnessedVerdict(True, "principal-ideal-commutator", {"a": pair[0], "b": pair[1]})
 
 
-def _first_trivial_pair(algebra: FiniteOmegaGroup, sets: dict[int, frozenset[int]]):
-    """The first (a, b), in the order of the keys, whose sets have a trivial commutator."""
-    for a in sets:
-        for b in sets:
-            if _commutator_scan(algebra, sets[a], sets[b])[0]:
-                return a, b
+def _closures(algebra: FiniteOmegaGroup, elements: list[int], ambient: np.ndarray | None):
+    """Membership matrix: row i is the ideal of the ambient generated by
+    elements[i], or without an ambient the closed subgroup it generates."""
+    seeds = np.zeros((len(elements), algebra.size), dtype=bool)
+    seeds[np.arange(len(elements)), elements] = True
+    return _close_all(algebra, seeds, ambient)
+
+
+def _first_trivial_pair(algebra: FiniteOmegaGroup, elements: list[int], members: np.ndarray,
+                        diagonal: bool = False):
+    """The first (a, b) over elements, row-major, whose closures (the rows of
+    members) have a trivial commutator; only pairs (a, a) if `diagonal`."""
+    k = len(elements)
+    if _batched(algebra, k):
+        weights = members.astype(np.float32)
+        trivial = weights @ _clash(algebra) @ weights.T == 0
+        if diagonal:
+            trivial &= np.eye(k, dtype=bool)
+        hits = np.argwhere(trivial)
+        return (elements[hits[0, 0]], elements[hits[0, 1]]) if len(hits) else None
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in members]
+    pairs = ((i, i) for i in range(k)) if diagonal else ((i, j) for i in range(k) for j in range(k))
+    for i, j in pairs:
+        if _commutator_scan(algebra, sets[i], sets[j])[0]:
+            return elements[i], elements[j]
     return None
 
 
@@ -104,16 +135,15 @@ def is_anticommutative(
     if not is_omega_subgroup(algebra, p):
         raise NotASubgroupError("is_anticommutative expects a closed subgroup")
     nonzero = [a for a in sorted(p) if a != 0]
-    ambient = _indices(p)
-    ideals = {a: _close(algebra.arrays, (a,), ambient, len(p)) for a in nonzero}
-    for a in nonzero:
-        trivial, _ = _commutator_scan(algebra, ideals[a], ideals[a])
-        if trivial:
-            return WitnessedVerdict(False, "abelian-principal-ideal", {"a": a})
-    for a in nonzero:
-        for b in nonzero:
-            if ideals[a] & ideals[b] == {0}:
-                return WitnessedVerdict(False, "disjoint-principal-ideals", {"a": a, "b": b})
+    ideals = _closures(algebra, nonzero, _indices(p))
+    abelian = _first_trivial_pair(algebra, nonzero, ideals, diagonal=True)
+    if abelian is not None:
+        return WitnessedVerdict(False, "abelian-principal-ideal", {"a": abelian[0]})
+    weights = ideals[:, 1:].astype(np.float32)
+    disjoint = np.argwhere(weights @ weights.T == 0)
+    if len(disjoint):
+        a, b = (nonzero[i] for i in disjoint[0])
+        return WitnessedVerdict(False, "disjoint-principal-ideals", {"a": a, "b": b})
     return WitnessedVerdict(True, "principal-ideal-reduction")
 
 
@@ -158,8 +188,8 @@ def is_c_anticommutative(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
 
 
 def _c_anticommutative_criterion(algebra: FiniteOmegaGroup) -> WitnessedVerdict:
-    subgroups = {a: generated_subgroup(algebra, a) for a in range(1, algebra.size)}
-    pair = _first_trivial_pair(algebra, subgroups)
+    nonzero = list(range(1, algebra.size))
+    pair = _first_trivial_pair(algebra, nonzero, _closures(algebra, nonzero, None))
     if pair is None:
         return WitnessedVerdict(True, "generated-subgroup-commutator")
     return WitnessedVerdict(False, "generated-subgroup-commutator", {"a": pair[0], "b": pair[1]})

@@ -60,11 +60,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import FiniteOmegaGroup, _first_failure
+from .core import FiniteOmegaGroup, _derived, _is_multiadditive
 from .domains import WitnessedVerdict
 from .errors import InvalidArgumentError, TooLargeError
 from .terms import Term, _coordinate_vectors, grid_points, term_values
@@ -529,41 +529,6 @@ def _close_rows(
 # --- term-function tables (grid route) --------------------------------------
 
 _grid_cache: dict[tuple[FiniteOmegaGroup, int], np.ndarray | None] = {}
-
-
-def _derived(algebra: FiniteOmegaGroup, name: str, build: Callable):
-    """build(algebra), kept with the algebra under `name` from its first use.
-
-    Threads racing on the first use each build an equal value and the last
-    store wins, as with ``algebra.arrays``.
-    """
-    facts = algebra._linear
-    if name not in facts:
-        facts[name] = build(algebra)
-    return facts[name]
-
-
-def _is_multiadditive(algebra: FiniteOmegaGroup) -> bool:
-    """Addition commutative and every extra operation additive in each slot."""
-    return _derived(algebra, "multiadditive", _scan_multiadditive)
-
-
-def _scan_multiadditive(algebra: FiniteOmegaGroup) -> bool:
-    view = algebra.arrays
-    add = view.add
-    if not (add == add.T).all():
-        return False
-    for op in view.ops:
-        for slot in range(op.ndim):
-            moved = np.moveaxis(op, slot, 0)
-            # w(.., a + b, ..) == w(.., a, ..) + w(.., b, ..) for every a and b
-            if _first_failure(
-                algebra.size,
-                op.size,
-                lambda a: moved[add[a]] != add[moved[a][:, None], moved[None]],
-            ):
-                return False
-    return True
 
 
 def _multiples(algebra: FiniteOmegaGroup) -> np.ndarray:

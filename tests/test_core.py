@@ -91,6 +91,23 @@ def test_direct_product_requires_matching_signatures():
         direct_product(cyclic_group(2), cyclic_ring(2))
 
 
+def test_direct_product_equals_its_validated_tables(algebras):
+    """Products skip validation; validating their tables gives the same algebra."""
+    for h1 in algebras.values():
+        for h2 in algebras.values():
+            if h1.size * h2.size > 64:
+                continue
+            if h1.signature != h2.signature:
+                with pytest.raises(SignatureMismatchError):
+                    direct_product(h1, h2)
+                continue
+            prod, _, _ = direct_product(h1, h2)
+            omega = [(op.name, op.arity, op.table) for op in prod.omega]
+            checked = validate_algebra(prod.name, prod.size, prod.add, omega, prod.kind)
+            assert prod == checked and hash(prod) == hash(checked), prod.name
+            assert prod.neg == checked.neg and prod.kind == checked.kind, prod.name
+
+
 def test_factor_copies_commute_in_any_product():
     prod, _, _ = direct_product(cyclic_group(2), cyclic_group(2))
     left = frozenset({0, 2})   # Z2 x 0

@@ -508,7 +508,7 @@ def test_multiadditive_scan_matches_the_loop(monkeypatch):
     assert [zariski._is_multiadditive(algebra) for algebra in algebras] == expected
     # The flag above may come from the algebra's cache; the scan itself runs here.
     monkeypatch.setattr(core, "_LAW_BLOCK_ENTRIES", 7)  # blocks of one or a few first arguments
-    assert [zariski._scan_multiadditive(algebra) for algebra in algebras] == expected
+    assert [core._scan_multiadditive(algebra) for algebra in algebras] == expected
 
 
 def test_spanning_tables_match_the_subalgebra_closure():
