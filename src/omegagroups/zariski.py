@@ -27,7 +27,9 @@ commutes with every round, because the operations act componentwise.  A
 round that would form more than _ROUND_ENTRIES entries is refused before it
 forms any.
 Multiadditive algebras grow their tables as an additive span instead,
-through the same set.
+through the same set, once the span is known to fit the row cap: the product
+of the monomials' additive orders bounds its size, and past the cap the
+linear route's elimination counts it exactly.
 
 One candidate loop, ``_closure_members``, serves ``zariski_closure``,
 ``closure_excess_point``, ``point_in_closure`` and the lattice.  It yields
@@ -551,26 +553,59 @@ def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
 
     The monomial vectors are the closure of the projections under the extra
     operations alone (multiadditivity folds everything else into sums), and
-    the table is their additive span S, grown by one monomial v at a time.
-    With m the least k >= 1 for which k*v lies in S, the cosets S + k*v for
+    the table is their additive span S.  Its size is known before any row
+    is formed: the product of the monomials' additive orders bounds it, and
+    when that bound passes row_cap, _span_size counts S exactly, by the
+    elimination of the linear route.  A span past row_cap raises
+    _GridOverflow(|S|).  S is then grown by one monomial v at a time: with
+    m the least k >= 1 for which k*v lies in S, the cosets S + k*v for
     0 < k < m are new and pairwise disjoint, and with S they make S + <v>.
+    While S = {0}, m is the additive order of v; after that a _RowSet of S
+    answers, kept up to date only while a later monomial remains.
     """
-    n, width, add = algebra.size, gens.shape[1], algebra.arrays.add
+    n, width = algebra.size, gens.shape[1]
     multiples = _multiples(algebra)
-    span = _RowSet(width, n - 1)
-    rows = np.zeros((1, width), dtype=np.uint8)
-    span.add(span.pack(rows))
-    for vec in _monomial_rows(algebra, gens, row_cap):
+    monomials = _monomial_rows(algebra, gens, row_cap)
+    order = (multiples[1:] == 0).argmax(axis=0) + 1  # the additive order of each element
+    orders = np.lcm.reduce(order[monomials], axis=1)  # and of each monomial
+    # Exact below 2^53 (row_cap is far below), and rounding keeps larger products large.
+    if orders.prod(dtype=np.float64) > row_cap:
+        size = _span_size(algebra, monomials)
+        if size > row_cap:
+            raise _GridOverflow(size)
+    add, cells = algebra.arrays.add.astype(np.uint8), np.arange(width) * n
+    rows, span = np.zeros((1, width), dtype=np.uint8), None  # span: S's rows once S != {0}
+    for i, vec in enumerate(monomials, 1):
         steps = multiples[1:, vec].astype(np.uint8)  # k*vec for k = 1..n; n*vec = 0
-        m = 1 + int(np.argmax(span.contains(span.pack(steps))))
+        if span is None:  # S = {0}: k*v first lies in S at k = the order of v
+            m = int(orders[i - 1])
+        else:
+            m = 1 + int(np.argmax(span.contains(span.pack(steps))))
         if m == 1:
             continue
-        if rows.shape[0] * m > row_cap:
-            raise _GridOverflow(rows.shape[0] * m)
-        cosets = add[rows[None], steps[: m - 1, None]].astype(np.uint8).reshape(-1, width)
-        span.add(span.pack(cosets))
+        # shifts[k - 1, c*n + x] = k*vec[c] + x: each coset is one gather at rows + cells.
+        shifts = add[steps[: m - 1]].reshape(m - 1, -1)
+        cosets = np.take(shifts, rows + cells, axis=1).reshape(-1, width)
         rows = np.concatenate([rows, cosets])
-    return rows
+        if i < len(monomials):  # only later monomials look S up
+            if span is None:
+                span, cosets = _RowSet(width, n - 1), rows
+            span.add(span.pack(cosets))
+    return np.asfortranarray(rows)  # column-major: table queries read columns
+
+
+def _span_size(algebra: FiniteOmegaGroup, rows: np.ndarray) -> int:
+    """The number of elements of the additive span of rows.
+
+    At each prime p of |H| the rows in coordinates are eliminated over
+    Z/q, q = p^E (_vanishing_span); the span's p-part has the product of
+    the pivot orders q/p^v as its size, and |span| is the product over p.
+    """
+    size = 1
+    for p, q, coords in _derived(algebra, "coordinates", _additive_coordinates):
+        entries = coords[rows].reshape(len(rows), -1)
+        size *= prod(_vanishing_span(entries, entries.shape[1], p, q)[1])
+    return size
 
 
 def _projection_rows(algebra: FiniteOmegaGroup, n_vars: int) -> np.ndarray:
@@ -698,15 +733,22 @@ def _additive_coordinates(algebra: FiniteOmegaGroup) -> tuple[tuple[int, int, np
     return tuple(out)
 
 
-def _vanishing_span(rows: np.ndarray, lead: int, p: int, q: int) -> np.ndarray:
+def _vanishing_span(rows: np.ndarray, lead: int, p: int, q: int) -> tuple[np.ndarray, list[int]]:
     """Rows spanning the part of the Z/q-span of rows that is 0 on its first lead columns.
 
     q is a power p^E of the prime p.  The lead columns are eliminated one at
-    a time, as in a Howell form: a row whose entry there has the least
-    p-valuation v is the pivot, every other row is cleared by a multiple of
-    it, and the pivot is replaced by p^(E-v) times itself, which is 0 there.
-    The vectors of the span that are 0 on the column are then exactly the
-    span of the rows.  Zero rows are dropped.
+    a time, as in a Howell form, skipping the columns that are 0 in every
+    row (they stay 0): a row whose entry there has the least p-valuation v
+    is the pivot, every other row is cleared by a multiple of it, and the
+    pivot is replaced by p^(E-v) times itself, which is 0 there.  The
+    vectors of the span that are 0 on the column are then exactly the span
+    of the rows.  Zero rows are dropped.
+
+    Also returns the pivot orders q/p^v.  Their product is the size of the
+    span divided by the size of the part returned: a vector's entry in the
+    pivot's column is c*p^v for a c fixed mod p^(E-v), and c times the
+    pivot row leaves a remainder 0 on the column, in the span of the rows
+    after the step, so each pivot multiplies the size by exactly q/p^v.
     """
     valuation = np.zeros(q, dtype=np.intp)
     power = p
@@ -715,7 +757,8 @@ def _vanishing_span(rows: np.ndarray, lead: int, p: int, q: int) -> np.ndarray:
         power *= p
     valuation[0] = q  # above every valuation, so a zero entry is never a pivot
     rows = rows[rows.any(axis=1)]
-    for j in range(lead):
+    orders = []
+    for j in np.flatnonzero(rows[:, :lead].any(axis=0)):
         if not len(rows):
             break
         column = rows[:, j]
@@ -729,7 +772,8 @@ def _vanishing_span(rows: np.ndarray, lead: int, p: int, q: int) -> np.ndarray:
         rows[hit] = (rows[hit] - scale[:, None] * pivot) % q
         rows = np.concatenate([rows, (pivot * (q // step) % q)[None]])
         rows = rows[rows.any(axis=1)]
-    return rows
+        orders.append(q // step)
+    return rows, orders
 
 
 def _linear_membership(algebra, pts: list[Point], candidates: list[Point], row_cap: int):
@@ -748,7 +792,7 @@ def _linear_membership(algebra, pts: list[Point], candidates: list[Point], row_c
     for p, q, coords in _derived(algebra, "coordinates", _additive_coordinates):
         k = coords.shape[1]
         rows = coords[monomials].reshape(len(monomials), -1)
-        rows = _vanishing_span(rows, len(pts) * k, p, q)[:, len(pts) * k :]
+        rows = _vanishing_span(rows, len(pts) * k, p, q)[0][:, len(pts) * k :]
         inside &= ~rows.reshape(len(rows), len(candidates), k).any(axis=(0, 2))
     return inside
 

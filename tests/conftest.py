@@ -1,6 +1,13 @@
-import pytest
+import os
 
-from omegagroups.catalog import build_catalog
+# One BLAS thread, as bench/run.py sets it, before anything imports numpy: the
+# batched route's small float32 products are noisy on a thread pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from omegagroups.catalog import build_catalog  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -152,11 +152,16 @@ def test_additive_coordinates_are_an_isomorphism(group):
     assert len({row.tobytes() for row in everything}) == group.size
 
 
-def test_linear_data_is_kept_with_the_algebra_and_built_on_first_use():
+def test_linear_data_is_kept_with_the_algebra_and_built_on_first_use(monkeypatch):
+    monkeypatch.setattr(zariski, "_grid_cache", {})  # every table request below is a miss
     ring = cyclic_ring(12)
     assert ring._linear == {}  # validation builds none of it
     term_function_table(ring, 1)
     assert ring._linear == {"multiadditive": True}  # the table reads the flag only
+    big = cyclic_ring(13)
+    assert big._linear == {}
+    assert term_function_table(big, 1) is None  # past the cap: the span is counted
+    assert set(big._linear) == {"multiadditive", "coordinates"}
     equational_domain_check(ring)
     assert set(ring._linear) == {"multiadditive", "coordinates"}
     assert ring == cyclic_ring(12) and hash(ring) == hash(cyclic_ring(12))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -524,6 +525,57 @@ def test_spanning_tables_match_the_subalgebra_closure():
         assert len(zariski._grid_table_spanning(algebra, start[1:], cap)) == cap
         with pytest.raises(zariski._GridOverflow):
             zariski._grid_table_spanning(algebra, start[1:], cap - 1)
+
+
+def additive_order(algebra, row):
+    """The least k >= 1 with k*row = 0, by repeated addition."""
+    add, total, k = algebra.arrays.add, row.astype(np.intp), 1
+    while total.any():
+        total, k = add[total, row], k + 1
+    return k
+
+
+def test_span_size_counts_the_spanning_tables():
+    """The elimination's pivot product is the table's size, and the order product bounds it."""
+    pairs = MULTIADDITIVE + [
+        (algebra, 1) for algebra in CATALOG.values() if zariski._is_multiadditive(algebra)
+    ]
+    pairs += [(CATALOG[name], 2) for name in ("Z2-ring", "Z3-ring", "Z4-ring", "F4-ring",
+                                              "null-ring-4", "abelian-lie-4", "V4-group")]
+    pairs.append((direct_product(cyclic_ring(2), cyclic_ring(3))[0], 2))
+    for algebra, n_vars in pairs:
+        monomials = zariski._monomial_rows(
+            algebra, zariski._projection_rows(algebra, n_vars)[1:], zariski.GRID_ROW_CAP
+        )
+        size = zariski._span_size(algebra, monomials)
+        table = term_function_table(algebra, n_vars)
+        assert size == len(table), (algebra.name, n_vars)
+        assert table.flags.f_contiguous  # column-major: the queries read columns
+        bound = np.prod([additive_order(algebra, row) for row in monomials], dtype=object)
+        assert bound >= size, (algebra.name, n_vars)
+    assert size == 52_488  # Z2-ring x Z3-ring at 2 variables
+
+
+@pytest.mark.parametrize("n, n_vars, size", [(11, 1, 11**10), (13, 1, 13**12), (5, 2, 5**24)])
+def test_spans_past_the_cap_are_refused_with_their_exact_size(n, n_vars, size):
+    ring = cyclic_ring(n)
+    start = zariski._projection_rows(ring, n_vars)
+    with pytest.raises(zariski._GridOverflow) as refused:
+        zariski._grid_table_spanning(ring, start[1:], zariski.GRID_ROW_CAP)
+    assert refused.value.args == (size,)
+
+
+@pytest.mark.parametrize("n", [13, 11])
+def test_spans_past_the_cap_are_refused_before_any_row_is_formed(monkeypatch, n):
+    monkeypatch.setattr(zariski, "_grid_cache", {})  # a miss, whatever ran before
+    ring = cyclic_ring(n)
+    tracemalloc.start()
+    try:
+        assert term_function_table(ring, 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # forming the rows up to the cap takes 14 to 39 MB
 
 
 def test_oracle_agreement_on_guarded_instances():
