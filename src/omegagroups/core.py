@@ -172,6 +172,16 @@ def _scan_multiadditive(algebra: FiniteOmegaGroup) -> bool:
     return True
 
 
+def _is_associative_product(algebra: FiniteOmegaGroup) -> bool:
+    """Exactly one extra operation, and it is binary and associative (a ring's product)."""
+    return _derived(algebra, "associative", _scan_associative_product)
+
+
+def _scan_associative_product(algebra: FiniteOmegaGroup) -> bool:
+    ops = algebra.arrays.ops
+    return len(ops) == 1 and ops[0].ndim == 2 and _associativity_failure(ops[0]) is None
+
+
 def apply_operation(algebra: FiniteOmegaGroup, op: str, args: Sequence[int]) -> int:
     """Look up one of {add, neg, <omega name>} on carrier indices."""
     for a in args:
@@ -223,6 +233,13 @@ def _first_failure(
     return None
 
 
+def _associativity_failure(table: np.ndarray) -> tuple[int, ...] | None:
+    """The first (a, b, c), row-major, with (a.b).c != a.(b.c) in a binary table, or None."""
+    return _first_failure(
+        len(table), table.size, lambda a: table[table[a]] != table[a[:, None, None], table]
+    )
+
+
 def _args(failure: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in failure) + ")"
 
@@ -260,9 +277,7 @@ def validate_algebra(
         raise NotAGroupError(
             f"{name}: index 0 is not a two-sided identity at element {int(np.argmax(off))}"
         )
-    failure = _first_failure(
-        size, size * size, lambda a: add_a[add_a[a]] != add_a[a[:, None, None], add_a]
-    )
+    failure = _associativity_failure(add_a)
     if failure:
         raise NotAGroupError(f"{name}: addition not associative at {_args(failure)}")
     neg = _derive_neg(name, add_a)

@@ -12,7 +12,15 @@ One kernel, ``_close_rows``, computes every such closure.  It runs the
 semi-naive fixed point of ``closures._step`` on rows: each round applies
 every operation to the tuples of rows that touch the frontier (the rows the
 previous round added), split by the position j of their first frontier row,
-with older rows before j and any row after it, so each tuple is formed once.
+with older rows before j and any row after it, so each tuple is formed once
+(the generic rounds).  When the one operation is an associative product,
+as for the linear route's monomials over a ring, a round forms only the
+frontier times the generators (the start rows), as in Froidure and Pin's
+semigroup enumeration: a product w of several generators is (w less its
+last letter) times a generator, and w less its last letter was in some
+frontier, so the closure is complete.  While the frontier times itself is
+small, the round forms that too, so a one-variable closure still takes a
+number of rounds logarithmic in the degree.
 Tuples are formed in blocks of a few million entries.  The rows seen so far
 are one exact set, ``_RowSet``: each row's key is packed into one or a few
 64-bit words and the set keeps the packed keys sorted, so a round's values
@@ -21,15 +29,16 @@ merged in, and the new keys unpacked to form the next frontier.  A row may
 be keyed on its first cells only, the rest a payload kept with the key, and
 a payload column that takes two values under one key is knocked out.  The
 callers differ only in data: the operations, the start rows, the key width,
-a row cap and a round limit.  The bounded-depth oracle runs its last round
-only on the columns it still reads: projecting rows onto a set of columns
-commutes with every round, because the operations act componentwise.  A
-round that would form more than _ROUND_ENTRIES entries is refused before it
-forms any.
-Multiadditive algebras grow their tables as an additive span instead,
-through the same set, once the span is known to fit the row cap: the product
-of the monomials' additive orders bounds its size, and past the cap the
-linear route's elimination counts it exactly.
+a row cap, a round limit and whether the rounds are generator rounds.  The
+bounded-depth oracle runs its last round only on the columns it still
+reads: projecting rows onto a set of columns commutes with every round,
+because the operations act componentwise.  A round that would form more
+than _ROUND_ENTRIES entries is refused before it forms any.
+Multiadditive algebras grow their tables as an additive span instead, of
+monomials closed by the generic rounds, through the same set, once the span
+is known to fit the row cap: the product of the monomials' additive orders
+bounds its size, and past the cap the linear route's elimination counts it
+exactly.
 
 One candidate loop, ``_closure_members``, serves ``zariski_closure``,
 ``closure_excess_point``, ``point_in_closure`` and the lattice.  It yields
@@ -66,7 +75,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import FiniteOmegaGroup, _derived, _is_multiadditive
+from .core import FiniteOmegaGroup, _derived, _is_associative_product, _is_multiadditive
 from .domains import WitnessedVerdict
 from .errors import InvalidArgumentError, TooLargeError
 from .terms import Term, _coordinate_vectors, grid_points, term_values
@@ -152,6 +161,7 @@ def solve_system(
 
 _BLOCK_ENTRIES = 8_000_000  # entries of one block of operation values
 _ROUND_ENTRIES = 1 << 32  # entries of operation values one round may form
+_SQUARE_ENTRIES = 1 << 14  # a generator round also forms frontier x frontier up to this size
 
 
 class _GridOverflow(Exception):
@@ -413,6 +423,7 @@ def _close_rows(
     row_cap: int | None = None,
     steps: int | None = None,
     key_width: int | None = None,
+    associative: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Close the start rows under ops (arrays shaped (n,)*arity), componentwise.
 
@@ -421,10 +432,15 @@ def _close_rows(
     from one of the rows that reach each key.  The start rows of distinct
     keys form the first frontier; each round forms the values on the tuples
     touching it (module docstring) and keeps the rows of new keys, in the
-    set's order, as the next frontier.  Once about _BLOCK_ENTRIES entries of
-    values have gathered, they are packed and their unseen keys added to
-    the round's own set, so a round holds distinct new keys, not every
-    tuple it forms.  At most `steps` rounds run.
+    set's order, as the next frontier.  With `associative`, ops is one
+    associative binary operation and a round forms only the frontier times
+    the first frontier (the generators), and after the first round also the
+    frontier times itself while that walk has at most _SQUARE_ENTRIES
+    entries: every product of generators is a shorter one times a generator,
+    and the shorter one was in an earlier frontier.  Once about
+    _BLOCK_ENTRIES entries of values have gathered, they are packed and
+    their unseen keys added to the round's own set, so a round holds
+    distinct new keys, not every tuple it forms.  At most `steps` rounds run.
 
     A row whose key is held with another payload knocks out the payload
     columns where the two differ.  `alive` masks the start's payload columns
@@ -479,7 +495,7 @@ def _close_rows(
         return False
 
     rows, frontier = start[:0], grow(start)
-    rounds = 0
+    rounds, generators = 0, len(frontier)
     while True:
         if finished():
             return rows[:, :key_width], alive
@@ -496,12 +512,18 @@ def _close_rows(
         if not len(frontier) or rounds == steps:
             return rows, alive
         rounds += 1
-        older = rows[: len(rows) - len(frontier)]
-        walks = [
-            (op, [older] * j + [frontier] + [rows] * (op.ndim - 1 - j))
-            for op in ops
-            for j in range(op.ndim)
-        ]
+        if associative:  # the start rows of distinct keys, first in rows, generate
+            (op,) = ops
+            walks = [(op, [frontier, rows[:generators]])]
+            if rounds > 1 and len(frontier) ** 2 * rows.shape[1] <= _SQUARE_ENTRIES:
+                walks.append((op, [frontier, frontier]))
+        else:
+            older = rows[: len(rows) - len(frontier)]
+            walks = [
+                (op, [older] * j + [frontier] + [rows] * (op.ndim - 1 - j))
+                for op in ops
+                for j in range(op.ndim)
+            ]
         entries = rows.shape[1] * sum(prod(len(axis) for axis in axes) for _, axes in walks)
         if entries > _ROUND_ENTRIES:
             raise _GridOverflow(entries)
@@ -543,9 +565,15 @@ def _multiples(algebra: FiniteOmegaGroup) -> np.ndarray:
 
 
 def _monomial_rows(algebra: FiniteOmegaGroup, gens: np.ndarray, row_cap: int) -> np.ndarray:
-    """The closure of the rows gens under the extra operations alone."""
+    """The closure of the rows gens under the extra operations alone.
+
+    Over an algebra whose one extra operation is an associative product (a
+    ring), by the generator rounds of _close_rows (module docstring).
+    """
     ops = algebra.arrays.ops
-    return _close_rows(ops, gens, row_cap)[0] if ops else gens
+    if not ops:
+        return gens
+    return _close_rows(ops, gens, row_cap, associative=_is_associative_product(algebra))[0]
 
 
 def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
@@ -553,19 +581,24 @@ def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
 
     The monomial vectors are the closure of the projections under the extra
     operations alone (multiadditivity folds everything else into sums), and
-    the table is their additive span S.  Its size is known before any row
-    is formed: the product of the monomials' additive orders bounds it, and
-    when that bound passes row_cap, _span_size counts S exactly, by the
-    elimination of the linear route.  A span past row_cap raises
-    _GridOverflow(|S|).  S is then grown by one monomial v at a time: with
-    m the least k >= 1 for which k*v lies in S, the cosets S + k*v for
-    0 < k < m are new and pairwise disjoint, and with S they make S + <v>.
-    While S = {0}, m is the additive order of v; after that a _RowSet of S
-    answers, kept up to date only while a later monomial remains.
+    the table is their additive span S.  They are closed by the generic
+    rounds, not _monomial_rows' generator rounds: a span that fits the cap
+    has few monomials, and past it the generic rounds' entry budget refuses
+    a closure such as M2(F2)'s at 2 or 3 variables in under half a second,
+    where the generator rounds would run on to the row cap (2.5 and 40 s).
+    The size of S is known before any row is formed: the product of the
+    monomials' additive orders bounds it, and when that bound passes
+    row_cap, _span_size counts S exactly, by the elimination of the linear
+    route.  A span past row_cap raises _GridOverflow(|S|).  S is then grown
+    by one monomial v at a time: with m the least k >= 1 for which k*v lies
+    in S, the cosets S + k*v for 0 < k < m are new and pairwise disjoint,
+    and with S they make S + <v>.  While S = {0}, m is the additive order
+    of v; after that a _RowSet of S answers, kept up to date only while a
+    later monomial remains.
     """
-    n, width = algebra.size, gens.shape[1]
+    n, width, ops = algebra.size, gens.shape[1], algebra.arrays.ops
     multiples = _multiples(algebra)
-    monomials = _monomial_rows(algebra, gens, row_cap)
+    monomials = _close_rows(ops, gens, row_cap)[0] if ops else gens
     order = (multiples[1:] == 0).argmax(axis=0) + 1  # the additive order of each element
     orders = np.lcm.reduce(order[monomials], axis=1)  # and of each monomial
     # Exact below 2^53 (row_cap is far below), and rounding keeps larger products large.

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from omegagroups import core
-from omegagroups.catalog import cyclic_group, klein_four_group, symmetric_group_3
+from omegagroups.catalog import build_catalog, cyclic_group, klein_four_group, symmetric_group_3
 from omegagroups.core import as_lie_ring, as_ring, validate_algebra
 from omegagroups.errors import AlgebraError, LawViolationError, NotAGroupError
 
@@ -214,6 +214,32 @@ def test_first_failure_finds_the_last_check_across_blocks(monkeypatch):
         monkeypatch.setattr(core, "_LAW_BLOCK_ENTRIES", block)
         assert core._first_failure(size, laws * size * size, only_last) == (6, 6, 6, 2)
         assert core._first_failure(size, laws * size * size, lambda a: only_last(a) & False) is None
+
+
+def ref_associativity_failure(table):
+    """The first (a, b, c) in row-major order with (a.b).c != a.(b.c), or None."""
+    size = len(table)
+    for a, b, c in iproduct(range(size), repeat=3):
+        if table[table[a, b], c] != table[a, table[b, c]]:
+            return (a, b, c)
+    return None
+
+
+def test_associativity_scan_matches_the_loop(monkeypatch):
+    """One scan serves the addition check and the associative-product fact."""
+    add, bracket = bracket_failing_only_jacobi()  # bilinear, and not associative
+    algebras = [entry.algebra for entry in build_catalog()]
+    algebras.append(validate_algebra("F2^3-bracket", 8, add, [("bracket", 2, bracket)]))
+    tables = [a.arrays.add for a in algebras]
+    tables += [op for a in algebras for op in a.arrays.ops if op.ndim == 2]
+    expected = [ref_associativity_failure(table) for table in tables]
+    assert expected[-1] is not None and None in expected
+    facts = [len(a.arrays.ops) == 1 and a.arrays.ops[0].ndim == 2
+             and ref_associativity_failure(a.arrays.ops[0]) is None for a in algebras]
+    assert sum(facts) == 9 and not facts[-1]  # the catalog rings
+    monkeypatch.setattr(core, "_LAW_BLOCK_ENTRIES", 7)  # blocks of one or a few first arguments
+    assert [core._associativity_failure(table) for table in tables] == expected
+    assert [core._scan_associative_product(a) for a in algebras] == facts
 
 
 def test_law_scans_in_small_blocks_match_reference(monkeypatch):

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from omegagroups import zariski
+from omegagroups import core, zariski
 from omegagroups.catalog import (
     build_catalog,
     cyclic_group,
@@ -119,8 +119,83 @@ def test_eight_point_matrix_closure_is_decided_one_candidate_at_a_time():
     pts = [(12, 13), (1, 8), (15, 12), (9, 15), (11, 6), (4, 9), (4, 3), (8, 4)]
     start = time.perf_counter()
     closure = zariski_closure(m2, 2, pts)
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 1
     assert len(closure) == 76 and set(pts) | {(0, 0)} < closure
+
+
+RINGS = [algebra for algebra in CATALOG.values() if algebra.kind == "ring"]
+RING_PRODUCTS = [direct_product(a, b)[0] for i, a in enumerate(RINGS) for b in RINGS[i:]
+                 if a.size * b.size <= 32]
+
+
+def kernel_rounds(monkeypatch, algebra, gens, row_cap):
+    """_monomial_rows(algebra, gens, row_cap), and whether it took the generator rounds."""
+    kernel, calls = zariski._close_rows, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("associative", False))
+        return kernel(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(zariski, "_close_rows", spy)
+        monomials = zariski._monomial_rows(algebra, gens, row_cap)
+    (generators,) = calls
+    return monomials, generators
+
+
+def column_sets(algebra, rng):
+    """The whole grid at one variable, and random cell subsets at 1 to 3 variables.
+
+    A subset is the points-plus-candidates shape of _linear_membership; the
+    sizes keep the generic closure of M2(F2) words under a second.
+    """
+    for n_vars in (1, 2, 3):
+        cells = list(grid_points(algebra.size, n_vars))
+        if n_vars == 1:
+            yield cells
+        for _ in range(2):
+            yield rng.sample(cells, rng.randint(1, min(len(cells), 24 // (n_vars + 1))))
+
+
+@pytest.mark.parametrize("algebra", RINGS + RING_PRODUCTS, ids=lambda algebra: algebra.name)
+def test_generator_rounds_match_the_generic_closure(monkeypatch, algebra):
+    """Frontier times generators (and squares) close a ring's monomials, capped exactly."""
+    assert zariski._is_multiadditive(algebra)
+    rng = random.Random(algebra.name)
+    for columns in column_sets(algebra, rng):
+        gens = np.array(columns, dtype=np.uint8).T
+        closed, _ = zariski._close_rows(algebra.arrays.ops, gens)
+        expected = {row.tobytes() for row in closed}
+        # Squares never, while small (the default), and while 64 times larger.
+        for square in (0, 64 * zariski._SQUARE_ENTRIES, zariski._SQUARE_ENTRIES):
+            monkeypatch.setattr(zariski, "_SQUARE_ENTRIES", square)
+            monomials, generators = kernel_rounds(monkeypatch, algebra, gens, zariski.GRID_ROW_CAP)
+            assert generators
+            assert len(monomials) == len(closed), (algebra.name, columns, square)
+            assert {row.tobytes() for row in monomials} == expected
+        # The closure overflows exactly when it has more rows than the cap.
+        assert len(zariski._monomial_rows(algebra, gens, len(closed))) == len(closed)
+        with pytest.raises(zariski._GridOverflow):
+            zariski._monomial_rows(algebra, gens, len(closed) - 1)
+
+
+def test_other_products_take_the_generic_rounds(monkeypatch):
+    """A bilinear product that is not associative, and the Lie rings (several operations)."""
+    algebras = [CATALOG[name] for name in ("abelian-lie-4", "heisenberg-lie-8", "sl2-f2")]
+    f2, product = klein_four_group(), [0] * 16
+    for x, y in iproduct(range(4), repeat=2):  # e1.e1 = e2 and e2.e1 = e1 on F2^2
+        product[4 * x + y] = (x & y & 1) << 1 ^ (x >> 1 & y & 1)
+    algebras.append(validate_algebra("F2^2-nonassociative", 4, f2.add, [("mul", 2, product)]))
+    rng = random.Random(5)
+    for algebra in algebras:
+        assert zariski._is_multiadditive(algebra)
+        assert not core._is_associative_product(algebra)
+        for columns in column_sets(algebra, rng):
+            gens = np.array(columns, dtype=np.uint8).T
+            monomials, generators = kernel_rounds(monkeypatch, algebra, gens, zariski.GRID_ROW_CAP)
+            assert not generators
+            closed, _ = zariski._close_rows(algebra.arrays.ops, gens)
+            assert np.array_equal(monomials, closed)
 
 
 def additive_groups():
@@ -163,7 +238,7 @@ def test_linear_data_is_kept_with_the_algebra_and_built_on_first_use(monkeypatch
     assert term_function_table(big, 1) is None  # past the cap: the span is counted
     assert set(big._linear) == {"multiadditive", "coordinates"}
     equational_domain_check(ring)
-    assert set(ring._linear) == {"multiadditive", "coordinates"}
+    assert set(ring._linear) == {"multiadditive", "associative", "coordinates"}
     assert ring == cyclic_ring(12) and hash(ring) == hash(cyclic_ring(12))
     assert repr(ring) == repr(cyclic_ring(12))
 
