@@ -18,9 +18,9 @@ as for the linear route's monomials over a ring, a round forms only the
 frontier times the generators (the start rows), as in Froidure and Pin's
 semigroup enumeration: a product w of several generators is (w less its
 last letter) times a generator, and w less its last letter was in some
-frontier, so the closure is complete.  While the frontier times itself is
-small, the round forms that too, so a one-variable closure still takes a
-number of rounds logarithmic in the degree.
+frontier, so the closure is complete (the generator rounds).  While the
+frontier times itself is small, the round forms that too, so a one-variable
+closure still takes a number of rounds logarithmic in the degree.
 Tuples are formed in blocks of a few million entries.  The rows seen so far
 are one exact set, ``_RowSet``: each row's key is packed into one or a few
 64-bit words and the set keeps the packed keys sorted, so a round's values
@@ -423,7 +423,7 @@ def _close_rows(
     row_cap: int | None = None,
     steps: int | None = None,
     key_width: int | None = None,
-    associative: bool = False,
+    generator_rounds: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Close the start rows under ops (arrays shaped (n,)*arity), componentwise.
 
@@ -432,14 +432,14 @@ def _close_rows(
     from one of the rows that reach each key.  The start rows of distinct
     keys form the first frontier; each round forms the values on the tuples
     touching it (module docstring) and keeps the rows of new keys, in the
-    set's order, as the next frontier.  With `associative`, ops is one
-    associative binary operation and a round forms only the frontier times
-    the first frontier (the generators), and after the first round also the
-    frontier times itself while that walk has at most _SQUARE_ENTRIES
-    entries: every product of generators is a shorter one times a generator,
-    and the shorter one was in an earlier frontier.  Once about
-    _BLOCK_ENTRIES entries of values have gathered, they are packed and
-    their unseen keys added to the round's own set, so a round holds
+    set's order, as the next frontier.  With `generator_rounds`, ops must be
+    one associative binary operation, and a round forms only the frontier
+    times the first frontier (the generators), and after the first round
+    also the frontier times itself while that walk has at most
+    _SQUARE_ENTRIES entries: every product of generators is a shorter one
+    times a generator, and the shorter one was in an earlier frontier.  Once
+    about _BLOCK_ENTRIES entries of values have gathered, they are packed
+    and their unseen keys added to the round's own set, so a round holds
     distinct new keys, not every tuple it forms.  At most `steps` rounds run.
 
     A row whose key is held with another payload knocks out the payload
@@ -495,7 +495,7 @@ def _close_rows(
         return False
 
     rows, frontier = start[:0], grow(start)
-    rounds, generators = 0, len(frontier)
+    rounds, generators = 0, len(frontier)  # the generators stay first in rows
     while True:
         if finished():
             return rows[:, :key_width], alive
@@ -512,7 +512,7 @@ def _close_rows(
         if not len(frontier) or rounds == steps:
             return rows, alive
         rounds += 1
-        if associative:  # the start rows of distinct keys, first in rows, generate
+        if generator_rounds:
             (op,) = ops
             walks = [(op, [frontier, rows[:generators]])]
             if rounds > 1 and len(frontier) ** 2 * rows.shape[1] <= _SQUARE_ENTRIES:
@@ -564,16 +564,15 @@ def _multiples(algebra: FiniteOmegaGroup) -> np.ndarray:
     return np.concatenate([np.zeros((1, n), dtype=multiples.dtype), multiples[:n]])
 
 
-def _monomial_rows(algebra: FiniteOmegaGroup, gens: np.ndarray, row_cap: int) -> np.ndarray:
+def _monomial_rows(
+    algebra: FiniteOmegaGroup, gens: np.ndarray, row_cap: int, generator_rounds: bool = False
+) -> np.ndarray:
     """The closure of the rows gens under the extra operations alone.
 
-    Over an algebra whose one extra operation is an associative product (a
-    ring), by the generator rounds of _close_rows (module docstring).
+    generator_rounds (module docstring) needs one associative operation.
     """
     ops = algebra.arrays.ops
-    if not ops:
-        return gens
-    return _close_rows(ops, gens, row_cap, associative=_is_associative_product(algebra))[0]
+    return _close_rows(ops, gens, row_cap, generator_rounds=generator_rounds)[0] if ops else gens
 
 
 def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
@@ -582,9 +581,9 @@ def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
     The monomial vectors are the closure of the projections under the extra
     operations alone (multiadditivity folds everything else into sums), and
     the table is their additive span S.  They are closed by the generic
-    rounds, not _monomial_rows' generator rounds: a span that fits the cap
-    has few monomials, and past it the generic rounds' entry budget refuses
-    a closure such as M2(F2)'s at 2 or 3 variables in under half a second,
+    rounds, not the generator rounds: a span that fits the cap has few
+    monomials, and past it the generic rounds' entry budget refuses a
+    closure such as M2(F2)'s at 2 or 3 variables in under half a second,
     where the generator rounds would run on to the row cap (2.5 and 40 s).
     The size of S is known before any row is formed: the product of the
     monomials' additive orders bounds it, and when that bound passes
@@ -596,9 +595,9 @@ def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
     of v; after that a _RowSet of S answers, kept up to date only while a
     later monomial remains.
     """
-    n, width, ops = algebra.size, gens.shape[1], algebra.arrays.ops
+    n, width = algebra.size, gens.shape[1]
     multiples = _multiples(algebra)
-    monomials = _close_rows(ops, gens, row_cap)[0] if ops else gens
+    monomials = _monomial_rows(algebra, gens, row_cap)
     order = (multiples[1:] == 0).argmax(axis=0) + 1  # the additive order of each element
     orders = np.lcm.reduce(order[monomials], axis=1)  # and of each monomial
     # Exact below 2^53 (row_cap is far below), and rounding keeps larger products large.
@@ -684,6 +683,7 @@ def _closure_from_table(algebra, n_vars, pts, table: np.ndarray) -> frozenset[Po
 # --- pointwise membership ----------------------------------------------------
 
 _JOINT_ENTRIES = 1 << 18  # coordinates of the monomial rows of one joint reduction
+_ALONE_ENTRIES = 1 << 22  # and of a one-candidate reduction
 
 
 def _cell_index(algebra: FiniteOmegaGroup, point: Point) -> int:
@@ -820,7 +820,8 @@ def _linear_membership(algebra, pts: list[Point], candidates: list[Point], row_c
     in the closure iff those rows vanish at it at every prime.  More than
     row_cap monomial rows raise _GridOverflow.
     """
-    monomials = _monomial_rows(algebra, np.array(pts + candidates, dtype=np.uint8).T, row_cap)
+    gens = np.array(pts + candidates, dtype=np.uint8).T
+    monomials = _monomial_rows(algebra, gens, row_cap, _is_associative_product(algebra))
     inside = np.ones(len(candidates), dtype=bool)
     for p, q, coords in _derived(algebra, "coordinates", _additive_coordinates):
         k = coords.shape[1]
@@ -855,7 +856,8 @@ def _closure_members(
     decision takes them all while its rows have at most _JOINT_ENTRIES
     coordinates (16 times that many cells for a keyed closure); past that
     budget the same route decides them one at a time under
-    WORKLIST_ROW_CAP, and a candidate past that cap raises TooLargeError.
+    WORKLIST_ROW_CAP rows, and for the linear route _ALONE_ENTRIES
+    coordinates, and a candidate past that cap raises TooLargeError.
     """
     if candidates is None:
         total = algebra.size**n_vars
@@ -878,11 +880,14 @@ def _closure_members(
         decide, kept, entries = _linear_membership, "monomial rows", _JOINT_ENTRIES
         coordinates = _derived(algebra, "coordinates", _additive_coordinates)
         cells = sum(coords.shape[1] for _, _, coords in coordinates)
+        # The reduction rewrites its int64 coordinates at every pivot.
+        cap = min(WORKLIST_ROW_CAP, _ALONE_ENTRIES // max(1, (len(pts) + 1) * cells))
     else:
         # A keyed closure keeps no more rows than a one-candidate one of a
         # member, so its budget bounds only memory: 16 times the entries of
         # a reduction, as bytes, not int64 coordinates.
         decide, kept, entries, cells = _keyed_membership, "product tuples", _JOINT_ENTRIES << 4, 1
+        cap = WORKLIST_ROW_CAP
     width = (len(pts) + len(candidates)) * cells
     try:
         inside = decide(algebra, sorted_pts, candidates, entries // max(1, width))
@@ -893,11 +898,9 @@ def _closure_members(
         return
     for cand in candidates:
         try:
-            (member,) = decide(algebra, sorted_pts, [cand], WORKLIST_ROW_CAP)
+            (member,) = decide(algebra, sorted_pts, [cand], cap)
         except _GridOverflow as exc:
-            raise TooLargeError(
-                f"closure membership search exceeded {WORKLIST_ROW_CAP} {kept}"
-            ) from exc
+            raise TooLargeError(f"closure membership search exceeded {cap} {kept}") from exc
         if member:
             yield cand
 

@@ -11,6 +11,8 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
+from functools import partial
 from itertools import product as iproduct
 
 import numpy as np
@@ -114,13 +116,51 @@ def test_worklist_blow_ups_are_decided(algebra, witness):
     assert time.perf_counter() - start < 2
 
 
+P8 = [(12, 13), (1, 8), (15, 12), (9, 15), (11, 6), (4, 9), (4, 3), (8, 4)]  # bench/NOTES.md
+
+
 def test_eight_point_matrix_closure_is_decided_one_candidate_at_a_time():
     m2 = matrix_ring_m2_f2()
-    pts = [(12, 13), (1, 8), (15, 12), (9, 15), (11, 6), (4, 9), (4, 3), (8, 4)]
     start = time.perf_counter()
-    closure = zariski_closure(m2, 2, pts)
-    assert time.perf_counter() - start < 1
-    assert len(closure) == 76 and set(pts) | {(0, 0)} < closure
+    closure = zariski_closure(m2, 2, P8)
+    assert time.perf_counter() - start < 10
+    assert len(closure) == 76 and set(P8) | {(0, 0)} < closure
+
+
+def test_closed_matrix_set_is_confirmed_by_the_generator_rounds():
+    """Each of the 180 candidates outside the 76-point closure closes M2(F2) words on 77 columns.
+
+    With the generic rounds that took 2.4 to 2.9 s, and with the generator
+    rounds 0.7 to 0.9 s (2-core host); the bound takes the best of up to
+    three runs, in process time, so a busy host does not count.
+    """
+    m2 = matrix_ring_m2_f2()
+    closure = zariski_closure(m2, 2, P8)
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        assert zariski_closure(m2, 2, closure) == closure
+        best = min(best, time.process_time() - start)
+        if best < 1.5:
+            break
+    assert best < 1.5
+
+
+def test_one_candidate_reduction_past_its_coordinate_budget_is_refused():
+    """About 192,000 M2(F2) words on 17 columns: refused before they are closed and reduced."""
+    m2, rng = matrix_ring_m2_f2(), random.Random("3/16")
+    cells = list(grid_points(16, 3))
+    pts = rng.sample(cells[1:], 16)
+    cand = rng.choice([c for c in cells[1:] if c not in pts])
+    assert zariski._ALONE_ENTRIES // (17 * 4) < 192_000 < zariski.WORKLIST_ROW_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="61680 monomial rows"):
+            point_in_closure(m2, 3, pts, cand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20  # reducing all of them took 8 s and about 400 MB
 
 
 RINGS = [algebra for algebra in CATALOG.values() if algebra.kind == "ring"]
@@ -128,19 +168,19 @@ RING_PRODUCTS = [direct_product(a, b)[0] for i, a in enumerate(RINGS) for b in R
                  if a.size * b.size <= 32]
 
 
-def kernel_rounds(monkeypatch, algebra, gens, row_cap):
-    """_monomial_rows(algebra, gens, row_cap), and whether it took the generator rounds."""
-    kernel, calls = zariski._close_rows, []
+def rounds_taken(monkeypatch, call):
+    """The generator_rounds flag of each _close_rows call that call() makes, on a cold cache."""
+    kernel, flags = zariski._close_rows, []
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("associative", False))
-        return kernel(*args, **kwargs)
+    def spy(*args, generator_rounds=False, **kwargs):
+        flags.append(generator_rounds)
+        return kernel(*args, generator_rounds=generator_rounds, **kwargs)
 
     with monkeypatch.context() as patched:
         patched.setattr(zariski, "_close_rows", spy)
-        monomials = zariski._monomial_rows(algebra, gens, row_cap)
-    (generators,) = calls
-    return monomials, generators
+        patched.setattr(zariski, "_grid_cache", {})
+        call()
+    return flags
 
 
 def column_sets(algebra, rng):
@@ -157,26 +197,36 @@ def column_sets(algebra, rng):
             yield rng.sample(cells, rng.randint(1, min(len(cells), 24 // (n_vars + 1))))
 
 
+def linear_route(algebra, columns):
+    """_linear_membership on these columns: all but the last as points, the last a candidate."""
+    return partial(zariski._linear_membership, algebra, columns[:-1], columns[-1:],
+                   zariski.WORKLIST_ROW_CAP)
+
+
 @pytest.mark.parametrize("algebra", RINGS + RING_PRODUCTS, ids=lambda algebra: algebra.name)
 def test_generator_rounds_match_the_generic_closure(monkeypatch, algebra):
-    """Frontier times generators (and squares) close a ring's monomials, capped exactly."""
-    assert zariski._is_multiadditive(algebra)
+    """Frontier times generators (and squares) close a ring's monomials, capped exactly.
+
+    The linear route takes these rounds; the term-function table keeps the generic ones.
+    """
+    assert zariski._is_multiadditive(algebra) and core._is_associative_product(algebra)
+    assert rounds_taken(monkeypatch, partial(term_function_table, algebra, 1)) == [False]
     rng = random.Random(algebra.name)
     for columns in column_sets(algebra, rng):
+        assert rounds_taken(monkeypatch, linear_route(algebra, columns)) == [True]
         gens = np.array(columns, dtype=np.uint8).T
         closed, _ = zariski._close_rows(algebra.arrays.ops, gens)
         expected = {row.tobytes() for row in closed}
         # Squares never, while small (the default), and while 64 times larger.
         for square in (0, 64 * zariski._SQUARE_ENTRIES, zariski._SQUARE_ENTRIES):
             monkeypatch.setattr(zariski, "_SQUARE_ENTRIES", square)
-            monomials, generators = kernel_rounds(monkeypatch, algebra, gens, zariski.GRID_ROW_CAP)
-            assert generators
+            monomials = zariski._monomial_rows(algebra, gens, zariski.GRID_ROW_CAP, True)
             assert len(monomials) == len(closed), (algebra.name, columns, square)
             assert {row.tobytes() for row in monomials} == expected
         # The closure overflows exactly when it has more rows than the cap.
-        assert len(zariski._monomial_rows(algebra, gens, len(closed))) == len(closed)
+        assert len(zariski._monomial_rows(algebra, gens, len(closed), True)) == len(closed)
         with pytest.raises(zariski._GridOverflow):
-            zariski._monomial_rows(algebra, gens, len(closed) - 1)
+            zariski._monomial_rows(algebra, gens, len(closed) - 1, True)
 
 
 def test_other_products_take_the_generic_rounds(monkeypatch):
@@ -191,11 +241,7 @@ def test_other_products_take_the_generic_rounds(monkeypatch):
         assert zariski._is_multiadditive(algebra)
         assert not core._is_associative_product(algebra)
         for columns in column_sets(algebra, rng):
-            gens = np.array(columns, dtype=np.uint8).T
-            monomials, generators = kernel_rounds(monkeypatch, algebra, gens, zariski.GRID_ROW_CAP)
-            assert not generators
-            closed, _ = zariski._close_rows(algebra.arrays.ops, gens)
-            assert np.array_equal(monomials, closed)
+            assert rounds_taken(monkeypatch, linear_route(algebra, columns)) == [False]
 
 
 def additive_groups():
