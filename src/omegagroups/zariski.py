@@ -46,7 +46,9 @@ the closure's new points in lexicographic order by one of three routes,
 cross-checked in the test suite:
 
 * a cached table of all term functions on the full grid H^n (used on small
-  grids), from which a closure query is a couple of row filters;
+  grids), kept with a bitset per cell of the rows that vanish there, so
+  that a closure query ANDs the bitsets of the point cells and keeps the
+  cells whose bitsets hold the result;
 * off the table, over multiadditive algebras (rings, Lie rings, abelian
   groups), the linear route: the zero point lies in every closure, and
   since every term function is a sum of monomials, one exact reduction of
@@ -552,7 +554,8 @@ def _close_rows(
 
 # --- term-function tables (grid route) --------------------------------------
 
-_grid_cache: dict[tuple[FiniteOmegaGroup, int], np.ndarray | None] = {}
+# (algebra, n_vars) -> (table, _zero_bits(table)), or None for a table past its cap
+_grid_cache: dict[tuple[FiniteOmegaGroup, int], tuple[np.ndarray, np.ndarray] | None] = {}
 
 
 def _multiples(algebra: FiniteOmegaGroup) -> np.ndarray:
@@ -623,7 +626,7 @@ def _grid_table_spanning(algebra, gens: np.ndarray, row_cap: int) -> np.ndarray:
             if span is None:
                 span, cosets = _RowSet(width, n - 1), rows
             span.add(span.pack(cosets))
-    return np.asfortranarray(rows)  # column-major: table queries read columns
+    return np.asfortranarray(rows)  # column-major: _zero_bits packs the bits of each column
 
 
 def _span_size(algebra: FiniteOmegaGroup, rows: np.ndarray) -> int:
@@ -651,12 +654,18 @@ def term_function_table(algebra: FiniteOmegaGroup, n_vars: int) -> np.ndarray | 
 
     Returns None when generation would exceed GRID_ROW_CAP (the clone is too
     big to materialize, e.g. over functionally complete algebras).  Results
-    are cached per (algebra, n_vars).
+    are cached per (algebra, n_vars), each table with its _zero_bits.
     """
     _check_carrier(algebra)
     key = (algebra, n_vars)
-    if key in _grid_cache:
-        return _grid_cache[key]
+    entry = _grid_cache.get(key, False)  # one hash of the algebra on a hit
+    if entry is False:
+        entry = _grid_cache[key] = _table_entry(algebra, n_vars)
+    return None if entry is None else entry[0]
+
+
+def _table_entry(algebra: FiniteOmegaGroup, n_vars: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The table and its _zero_bits, or None past GRID_ROW_CAP."""
     start = _projection_rows(algebra, n_vars)
     try:
         if _is_multiadditive(algebra):
@@ -664,20 +673,39 @@ def term_function_table(algebra: FiniteOmegaGroup, n_vars: int) -> np.ndarray | 
         else:
             table, _ = _close_rows(_signature_ops(algebra), start, GRID_ROW_CAP)
     except _GridOverflow:
-        table = None
-    _grid_cache[key] = table
-    return table
+        return None
+    return table, _zero_bits(table)
 
 
-def _closure_from_table(algebra, n_vars, pts, table: np.ndarray) -> frozenset[Point]:
-    cols = [_cell_index(algebra, p) for p in sorted(pts)]
-    if cols:
-        vanishing = table[(table[:, cols] == 0).all(axis=1)]
-    else:
-        vanishing = table
-    member_mask = (vanishing == 0).all(axis=0)
-    cells = list(grid_points(algebra.size, n_vars))
-    return frozenset(cells[i] for i in np.nonzero(member_mask)[0])
+def _zero_bits(table: np.ndarray) -> np.ndarray:
+    """zeros[c]: a bitset of the rows of table that vanish at cell c.
+
+    A uint64 array of shape (cells, ceil(rows / 64)): bit b of word w of
+    cell c is set iff table[64*w + b, c] == 0, and the bits past the last
+    row are set, so that they never tell one cell from another.
+    """
+    rows, cells = table.shape
+    packed = np.packbits(table == 0, axis=0, bitorder="little")  # byte i: rows 8i .. 8i + 7
+    zeros = np.full((cells, -(-rows // 64) * 8), 0xFF, dtype=np.uint8)
+    zeros[:, : len(packed)] = packed.T
+    if rows % 8:
+        zeros[:, len(packed) - 1] |= np.uint8(0xFF << rows % 8 & 0xFF)
+    return zeros.view("<u8")
+
+
+def _table_members(algebra, n_vars, pts: set[Point], zeros: np.ndarray) -> Iterator[Point]:
+    """The cells outside pts in the closure of pts, in lexicographic order.
+
+    The rows vanishing on pts are the AND of their cells' bitsets (every
+    row when pts is empty), and a cell is in the closure iff each of those
+    rows vanishes there too.
+    """
+    cols = [_cell_index(algebra, p) for p in pts]
+    vanishing = np.bitwise_and.reduce(zeros[cols], axis=0)  # all ones for no cols
+    members = ((zeros & vanishing) == vanishing).all(axis=1)
+    members[cols] = False
+    found = np.unravel_index(np.flatnonzero(members), (algebra.size,) * n_vars)
+    return zip(*(axis.tolist() for axis in found))
 
 
 # --- pointwise membership ----------------------------------------------------
@@ -864,11 +892,11 @@ def _closure_members(
         if len(pts) == total:
             return
         if method == "grid" or (method == "auto" and total <= GRID_CELL_LIMIT):
-            table = term_function_table(algebra, n_vars)
+            table = term_function_table(algebra, n_vars)  # the name a tracer wraps
             if table is None and method == "grid":
                 raise TooLargeError("term-function table exceeds the row cap")
             if table is not None:
-                yield from sorted(_closure_from_table(algebra, n_vars, pts, table) - pts)
+                yield from _table_members(algebra, n_vars, pts, _grid_cache[algebra, n_vars][1])
                 return
         candidates = [p for p in grid_points(algebra.size, n_vars) if p not in pts]
     if candidates and not any(candidates[0]):

