@@ -177,17 +177,6 @@ def sl2_f2() -> FiniteOmegaGroup:
 
 # --- catalog -----------------------------------------------------------------
 
-PROPERTIES = (
-    "abelian",
-    "domain",
-    "anticommutative",
-    "c-anticommutative",
-    "equational-domain",
-    "formula5",
-    "remark1",
-)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     algebra: FiniteOmegaGroup

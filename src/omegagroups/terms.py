@@ -25,10 +25,6 @@ __all__ = [
     "Add",
     "Op",
     "ZERO",
-    "var",
-    "add",
-    "neg",
-    "op",
     "vars_of",
     "eval_term",
     "term_values",
@@ -108,27 +104,6 @@ class Op(Term):
 
 
 ZERO = Zero()
-
-
-def var(index: int) -> Var:
-    if index < 1:
-        raise ValueError("variable indices are 1-based")
-    return Var(index)
-
-
-def add(first: Term, *rest: Term) -> Term:
-    out = first
-    for t in rest:
-        out = Add(out, t)
-    return out
-
-
-def neg(t: Term) -> Neg:
-    return Neg(t)
-
-
-def op(name: str, *args: Term) -> Op:
-    return Op(name, tuple(args))
 
 
 def vars_of(t: Term) -> frozenset[int]:
@@ -298,7 +273,7 @@ def term_to_str(t: Term) -> str:
 
 # --- expression grammar -----------------------------------------------------
 #
-#   term   := '0' | 'x'<digits> | '(' term '+' term ')' | '(' '-' term ')'
+#   term   := '0' | 'x'<decimal digits> | '(' term '+' term ')' | '(' '-' term ')'
 #           | ident '(' term (',' term)* ')'
 #   input  := term | term '=' term        (equations are normalized)
 
@@ -342,6 +317,13 @@ class _Parser:
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is of this kind."""
+        if self.peek() is None or self.peek()[0] != kind:
+            return False
+        self.pos += 1
+        return True
+
     def take(self, kind: str | None = None) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
@@ -351,74 +333,50 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def term(self) -> Term:
-        """Read one term.
+    def term(self, depth: int = 0) -> Term:
+        """Read one term inside depth open constructs.
 
-        The constructs still open are kept on a stack, not in recursion, so
-        nesting costs no interpreter frames; a token inside more than
-        _MAX_TERM_DEPTH open constructs is refused.
+        A token inside more than _MAX_TERM_DEPTH open constructs is refused,
+        so the recursion stays as shallow as evaluating the term.
         """
-        stack: list[tuple[str, list[Term]]] = []  # (operation name, "-" or "+"; args so far)
-        while True:
-            kind, value, col = self.take()
-            if len(stack) > _MAX_TERM_DEPTH:
-                raise ParseError(f"term nested deeper than {_MAX_TERM_DEPTH} levels at column {col}")
-            if kind == "int":
-                if value != "0":
-                    raise ParseError(f"only the constant 0 is allowed, found {value!r} at column {col}")
-                node: Term = ZERO
-            elif kind == "name" and value.startswith("x") and value[1:].isdigit():
-                index = int(value[1:])
-                if index < 1:
-                    raise ParseError(f"variable indices are 1-based, found {value!r} at column {col}")
-                node = Var(index)
-            elif kind == "name":
-                self.take("(")
-                stack.append((value, []))
-                continue
-            elif kind == "(":
-                if self.peek() and self.peek()[0] == "-":
-                    self.take("-")
-                    stack.append(("-", []))
-                else:
-                    stack.append(("+", []))
-                continue
-            else:
-                raise ParseError(f"unexpected token {value!r} at column {col}")
-            # Close every construct the node completes; stop at one that takes more.
-            while stack:
-                name, args = stack[-1]
-                args.append(node)
-                if name == "+" and len(args) == 1:
-                    self.take("+")
-                    break
-                if name not in ("+", "-") and self.peek() and self.peek()[0] == ",":
-                    self.take(",")
-                    break
-                self.take(")")
-                stack.pop()
-                if name == "-":
-                    node = Neg(node)
-                elif name == "+":
-                    node = Add(*args)
-                else:
-                    node = Op(name, tuple(args))
-            else:
-                return node
+        kind, value, col = self.take()
+        if depth > _MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {_MAX_TERM_DEPTH} levels at column {col}")
+        if kind == "int":
+            if value != "0":
+                raise ParseError(f"only the constant 0 is allowed, found {value!r} at column {col}")
+            return ZERO
+        if kind == "name" and value.startswith("x") and value[1:].isdecimal():
+            index = int(value[1:])
+            if index < 1:
+                raise ParseError(f"variable indices are 1-based, found {value!r} at column {col}")
+            return Var(index)
+        if kind == "name":
+            self.take("(")
+            args = [self.term(depth + 1)]
+            while self.accept(","):
+                args.append(self.term(depth + 1))
+            self.take(")")
+            return Op(value, tuple(args))
+        if kind != "(":
+            raise ParseError(f"unexpected token {value!r} at column {col}")
+        if self.accept("-"):
+            node: Term = Neg(self.term(depth + 1))
+        else:
+            left = self.term(depth + 1)
+            self.take("+")
+            node = Add(left, self.term(depth + 1))
+        self.take(")")
+        return node
 
 
 def parse_term(text: str) -> Term:
     """Parse a term, or an equation lhs = rhs (normalized to lhs + (-rhs))."""
     parser = _Parser(text)
-    lhs = parser.term()
+    term = parser.term()
+    if parser.accept("="):
+        term = normalize_equation(term, parser.term())
     tok = parser.peek()
-    if tok is None:
-        return lhs
-    if tok[0] == "=":
-        parser.take("=")
-        rhs = parser.term()
-        if parser.peek() is not None:
-            extra = parser.peek()
-            raise ParseError(f"trailing input at column {extra[2]}: {extra[1]!r}")
-        return normalize_equation(lhs, rhs)
-    raise ParseError(f"trailing input at column {tok[2]}: {tok[1]!r}")
+    if tok is not None:
+        raise ParseError(f"trailing input at column {tok[2]}: {tok[1]!r}")
+    return term

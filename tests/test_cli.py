@@ -4,14 +4,15 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegagroups.catalog import abelian_lie_f2, cyclic_ring, symmetric_group_3
+from omegagroups.catalog import abelian_lie_f2, catalog_algebra, cyclic_ring, symmetric_group_3
 from omegagroups import cli
 from omegagroups.cli import dispatch, parse_algebra_file, serialize_algebra
 from omegagroups.core import validate_algebra
 from omegagroups.errors import OmegaZeroViolationError, ParseError
+from reference import deep_terms, near_valid_terms
 
 
 def run_cli(argv):
@@ -109,6 +110,31 @@ def test_check_domain_witness_line(ring_files):
     code, out = run_cli(["check", ring_files[4], "--property", "domain"])
     assert code == 1
     assert "zero-divisors: (2,2)" in out
+
+
+@pytest.mark.parametrize(
+    "name, prop, code, stdout, stderr",
+    [
+        ("Z3-ring", "formula5", 0,
+         "property: formula5\nholds: true\nmethod: two-sided-annihilating-pair\n", ""),
+        ("M2(F2)-ring", "formula5", 1,
+         "property: formula5\nholds: false\nmethod: two-sided-annihilating-pair\nwitness: (1,8)\n", ""),
+        ("S3", "remark1", 0,
+         "property: remark1\nholds: true\nconjugate-pair-set: 3,4\nsingle-conjugate-set: 3,4\n", ""),
+        ("Z4-group", "remark1", 0,
+         "property: remark1\nholds: true\nconjugate-pair-set: 1,2,3\nsingle-conjugate-set: 1,2,3\n", ""),
+        ("S3", "formula5", 2, "", "error: NotARingError: S3 was not built as a ring\n"),
+        ("Z3-ring", "remark1", 2, "",
+         "error: NotAGroupError: Z3-ring has extra operations; expected a pure group\n"),
+    ],
+)
+def test_check_formula5_and_remark1(tmp_path, name, prop, code, stdout, stderr):
+    path = tmp_path / "algebra.alg"
+    path.write_text(serialize_algebra(catalog_algebra(name)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert dispatch(["check", str(path), "--property", prop]) == code
+    assert (out.getvalue(), err.getvalue()) == (stdout, stderr)
 
 
 def test_solve_lists_points_lexicographically(ring_files):
@@ -210,11 +236,12 @@ def test_catalog_text_output_runs():
         ["closure", "{binary}", "--vars", "1", "--points", "0"],
         ["lattice", "{binary}"],
         ["validate", "{superscript}"],
+        ["solve", "{ring4}", "--vars", "1", "--eq", "x\u00b2"],
     ],
     ids=["validate-zero-arity", "closure-point-off-carrier", "solve-zero-vars",
          "closure-huge-vars", "solve-huge-vars", "solve-deep-negation", "solve-deep-product",
          "validate-not-utf8", "check-not-utf8", "solve-not-utf8", "closure-not-utf8",
-         "lattice-not-utf8", "validate-superscript-size"],
+         "lattice-not-utf8", "validate-superscript-size", "solve-superscript-variable"],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, ring_files, tmp_path):
     zero_arity = tmp_path / "zero-arity.alg"
@@ -301,3 +328,15 @@ def test_point_strings_exit_with_a_code_never_a_traceback(fuzz_rings, points, n_
     for ring in fuzz_rings:
         code, stderr = answer(["closure", ring, "--vars", n_vars, "--points", points])
         assert code in (0, 1, 2) and "Traceback" not in stderr
+
+
+@given(text=st.one_of(near_valid_terms(), deep_terms()), n_vars=st.sampled_from(["1", "2"]))
+@example(text="x\u00b2", n_vars="1")
+@example(text="mul(x1\u00b2,x1)", n_vars="2")
+@example(text="x\u0661 = \u0660", n_vars="1")
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_term_texts_exit_with_a_code_never_a_traceback(fuzz_rings, text, n_vars):
+    for ring in fuzz_rings:
+        code, stderr = answer(["solve", ring, "--vars", n_vars, f"--eq={text}"])  # a text may start with -
+        assert code in (0, 1, 2) and "Traceback" not in stderr
+        assert code != 2 or stderr.startswith("error: ")

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegagroups import terms
 from omegagroups.catalog import cyclic_group, cyclic_ring, symmetric_group_3
@@ -25,6 +27,15 @@ from omegagroups.terms import (
     vars_of,
 )
 from omegagroups.zariski import EquationSystem, solve_system
+from reference import (
+    DEEP_NESTINGS,
+    NESTINGS,
+    TERM_PIECES,
+    deep_terms,
+    near_valid_terms,
+    nested,
+    stack_parse_term,
+)
 
 
 def test_eval_term_basics():
@@ -148,6 +159,7 @@ def test_parser_round_trip_and_grammar():
         term = parse_term(text)
         assert parse_term(term_to_str(term)) == term
     assert parse_term(" ( x1+ x2 ) ") == Add(Var(1), Var(2))
+    assert parse_term("x\u0661") == Var(1)  # an Arabic-Indic one is a decimal digit
 
 
 def test_parser_normalizes_equations():
@@ -156,7 +168,7 @@ def test_parser_normalizes_equations():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x0", "(x1 +)", "(x1 - x2)", "mul(x1", "1", "x1 = x2 = x3", "x1 x2"],
+    ["", "x0", "(x1 +)", "(x1 - x2)", "mul(x1", "1", "x1 = x2 = x3", "x1 x2", "x\u00b2", "x1\u00b2"],
 )
 def test_parser_rejects_malformed(bad):
     with pytest.raises(ParseError):
@@ -173,6 +185,46 @@ def test_parser_refuses_terms_nested_too_deep_to_evaluate():
     assert term_values(cyclic_ring(4), deepest, 1).shape == (4,)
     with pytest.raises(ParseError):
         parse_term("(- " * (depth + 1) + "x1" + ")" * (depth + 1))
+
+
+def parse_outcome(parse, text):
+    """The term parsed, or the name and message of the error raised.
+
+    The term is compared in printed form, which tells terms apart as == does:
+    == on two Op chains about 250 deep passes the interpreter's recursion limit.
+    """
+    try:
+        return "Term", term_to_str(parse(text))
+    except (ParseError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_parses_as_the_stack_parser(text):
+    expected, got = parse_outcome(stack_parse_term, text), parse_outcome(parse_term, text)
+    if expected[0] == "ValueError":  # x followed by a digit that int() refuses
+        assert got[0] == "ParseError"
+    else:
+        assert got == expected
+
+
+@given(
+    text=st.one_of(
+        near_valid_terms(),
+        st.lists(st.sampled_from(TERM_PIECES), max_size=12).map(" ".join),
+        deep_terms(),
+    )
+)
+@settings(derandomize=True, max_examples=600, deadline=None)
+def test_parser_matches_the_stack_parser(text):
+    assert_parses_as_the_stack_parser(text)
+
+
+def test_parser_matches_the_stack_parser_at_its_depth_limit():
+    for kind in NESTINGS:
+        for depth in DEEP_NESTINGS:
+            text = nested([kind], depth)
+            for equation in (text, f"{text} = x1", f"x1 = {text}"):
+                assert_parses_as_the_stack_parser(equation)
 
 
 def test_terms_built_too_deep_are_refused_at_construction():
