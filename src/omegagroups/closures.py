@@ -338,13 +338,31 @@ def commutator_group(
     algebra: FiniteOmegaGroup, a_set: frozenset[int], b_set: frozenset[int]
 ) -> frozenset[int]:
     """The ideal, inside the subgroup the two sets generate, spanned by their
-    group commutators and omega-commutators."""
+    group commutators and omega-commutators.
+
+    Over a multiadditive algebra of arity at most 2 the ideal is seeded with
+    w(a, b) and w(b, a), a in A and b in B, for each binary w: the same
+    ideal of the ambient.  There group and unary commutators are 0, and
+    -w(a) - w(b) + w(a + b) = w(a1, b2) + w(b1, a2) (see ``_clash``), which
+    is w(a1, b2) at a2 = b1 = 0 and w(b1, a2) at a1 = b2 = 0.  Any other
+    algebra is seeded with every generator ``_commutator_generators`` forms,
+    over |A|^k x |B|^k tuple pairs for each k-ary w.
+    """
     if not is_omega_subgroup(algebra, a_set) or not is_omega_subgroup(algebra, b_set):
         raise NotASubgroupError("commutator_group expects closed subgroups")
     ambient = _close(algebra, a_set | b_set, None, algebra.size)
+    ops = algebra.arrays.ops
+    # Every seed lies inside the ambient, a closed subgroup holding both sets.
     gens = np.zeros(algebra.size, dtype=bool)
-    for _, _, values in _commutator_generators(algebra, a_set, b_set):
-        gens[values] = True  # inside the ambient, a closed subgroup holding both sets
+    if all(op.ndim <= 2 for op in ops) and _is_multiadditive(algebra):
+        a, b = _indices(a_set), _indices(b_set)
+        for op in ops:
+            if op.ndim == 2:
+                gens[op[np.ix_(a, b)]] = True
+                gens[op[np.ix_(b, a)]] = True
+    else:
+        for _, _, values in _commutator_generators(algebra, a_set, b_set):
+            gens[values] = True
     return _close(algebra, np.flatnonzero(gens), _indices(ambient), len(ambient))
 
 

@@ -76,9 +76,24 @@ class FiniteOmegaGroup:
     # Facts derived from the tables (multiadditivity, additive coordinates),
     # each filled in on first use by _derived below.
     _linear: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_ops", {op.name: op for op in self.omega})
+
+    def __hash__(self) -> int:
+        """Computed once, from the integer tables alone.
+
+        Equal algebras have equal tables, so they hash equal; the name and
+        kind strings are left out, so the value does not depend on
+        PYTHONHASHSEED.  The term-function table cache hashes its key on
+        every query.
+        """
+        value = self._hash
+        if value is None:
+            value = hash((self.size, self.add, self.neg, tuple(op.table for op in self.omega)))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     @property
     def arrays(self) -> TableArrays:

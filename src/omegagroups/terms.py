@@ -8,7 +8,7 @@ compared structurally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product as iproduct
 from typing import Iterator, Sequence
 
@@ -40,67 +40,123 @@ __all__ = [
 
 _MAX_TERM_DEPTH = 256  # deepest term parse_term reads, on either side of an equation
 # Deepest term built at all: two levels more hold the normal form lhs + (-rhs)
-# of an equation of two deepest sides.  Hashing, comparing, evaluating and
-# printing a term recurse once per level, so this keeps them far inside the
-# interpreter's recursion limit.
+# of an equation of two deepest sides.  Evaluating and printing a term
+# recurse once per level, so this keeps them far inside the interpreter's
+# recursion limit.
 _MAX_NODE_DEPTH = _MAX_TERM_DEPTH + 2
 
 
 class Term:
+    """A term node.  Equality is structural and hashing agrees with it.
+
+    Every node keeps its hash, computed at construction from its own data
+    and its children's kept hashes, and equality walks both trees with an
+    explicit stack, so neither takes an interpreter frame per level.
+    """
+
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        return self._hash
 
-def _set_depth(node: Term, children) -> None:
-    """Record node.depth, one more than its deepest child; refuse it past _MAX_NODE_DEPTH."""
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or hash(a) != hash(b):
+                return False
+            (label, children), (other_label, other_children) = _parts(a), _parts(b)
+            if label != other_label or len(children) != len(other_children):
+                return False
+            pairs.extend(zip(children, other_children))
+        return True
+
+    def __reduce__(self):
+        # The kept hash reads string hashes, which differ between processes,
+        # so a pickled or copied term is built again from its fields.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+def _parts(node) -> tuple[object, tuple]:
+    """A node's own data and its children; anything that is not a term is a leaf."""
+    if isinstance(node, Op):
+        return node.name, node.args
+    if isinstance(node, Add):
+        return None, (node.left, node.right)
+    if isinstance(node, Neg):
+        return None, (node.child,)
+    if isinstance(node, Var):
+        return node.index, ()
+    return (None if isinstance(node, Term) else node), ()
+
+
+def _set_shape(node: Term, label, children) -> None:
+    """Record node.depth, one more than its deepest child, and node's hash.
+
+    A node deeper than _MAX_NODE_DEPTH is refused.
+    """
     depth = 1 + max((getattr(child, "depth", 0) for child in children), default=0)
     if depth > _MAX_NODE_DEPTH:
         raise InvalidArgumentError(f"term nested deeper than {_MAX_NODE_DEPTH} levels")
     object.__setattr__(node, "depth", depth)
+    object.__setattr__(node, "_hash", hash((type(node).__name__, label, *children)))
 
 
-def _depth_field():
+def _kept_field():
     return field(init=False, compare=False, hash=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Zero(Term):
     __slots__ = ()
     depth = 0
+    _hash = hash(("Zero",))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     index: int  # 1-based
+    _hash: int = _kept_field()
     depth = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Var", self.index)))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Neg(Term):
     child: Term
-    depth: int = _depth_field()
+    depth: int = _kept_field()
+    _hash: int = _kept_field()
 
     def __post_init__(self):
-        _set_depth(self, (self.child,))
+        _set_shape(self, None, (self.child,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Term):
     left: Term
     right: Term
-    depth: int = _depth_field()
+    depth: int = _kept_field()
+    _hash: int = _kept_field()
 
     def __post_init__(self):
-        _set_depth(self, (self.left, self.right))
+        _set_shape(self, None, (self.left, self.right))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Op(Term):
     name: str
     args: tuple[Term, ...]
-    depth: int = _depth_field()
+    depth: int = _kept_field()
+    _hash: int = _kept_field()
 
     def __post_init__(self):
-        _set_depth(self, self.args)
+        _set_shape(self, self.name, self.args)
 
 
 ZERO = Zero()

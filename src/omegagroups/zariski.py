@@ -45,10 +45,13 @@ One candidate loop, ``_closure_members``, serves ``zariski_closure``,
 the closure's new points in lexicographic order by one of three routes,
 cross-checked in the test suite:
 
-* a cached table of all term functions on the full grid H^n (used on small
-  grids), kept with a bitset per cell of the rows that vanish there, so
-  that a closure query ANDs the bitsets of the point cells and keeps the
-  cells whose bitsets hold the result;
+* a cached table of all term functions on the full grid H^n, kept with a
+  bitset per cell of the rows that vanish there, so that a closure query
+  ANDs the bitsets of the point cells and keeps the cells whose bitsets
+  hold the result.  Only callers that ask many queries on one grid build
+  it: ``term_function_table``, method "grid" and the lattice.  A query
+  under method "auto" reads it on grids of at most GRID_CELL_LIMIT cells
+  once it is cached, and otherwise takes one of the routes below;
 * off the table, over multiadditive algebras (rings, Lie rings, abelian
   groups), the linear route: the zero point lies in every closure, and
   since every term function is a sum of monomials, one exact reduction of
@@ -876,7 +879,10 @@ def _closure_members(
 
     Without `candidates` the whole grid is asked: the term-function table
     answers for method "grid", and for "auto" on grids of at most
-    GRID_CELL_LIMIT cells whose table fits its cap.  Otherwise, and always
+    GRID_CELL_LIMIT cells whose table is already cached and fits its cap
+    (a one-off query builds no table: a table pays only for many queries on
+    one grid, and over an algebra that is not multiadditive the clone can
+    hold every zero-preserving function).  Otherwise, and always
     for given candidates (outside pts), the zero point is taken first (every
     term function vanishes there) and the rest are decided by the route of
     the algebra (module docstring): the linear reduction over a
@@ -891,7 +897,8 @@ def _closure_members(
         total = algebra.size**n_vars
         if len(pts) == total:
             return
-        if method == "grid" or (method == "auto" and total <= GRID_CELL_LIMIT):
+        warm = method == "auto" and total <= GRID_CELL_LIMIT and (algebra, n_vars) in _grid_cache
+        if method == "grid" or warm:
             table = term_function_table(algebra, n_vars)  # the name a tracer wraps
             if table is None and method == "grid":
                 raise TooLargeError("term-function table exceeds the row cap")
@@ -1015,9 +1022,11 @@ def enumerate_algebraic_sets(
     Every mask's closure is found once, in ascending order: a mask inside
     the closure of itself less its lowest cell has that same closure (a
     closure is monotone and idempotent), and any other mask is closed by one
-    pass of the candidate loop.  The algebraic sets are the masks equal to
-    their closures; the lattice laws are array operations on their pairwise
-    unions and intersections.
+    pass of the candidate loop.  That is one query per such mask, so on a
+    grid of at most GRID_CELL_LIMIT cells the term-function table is built
+    first and every pass reads it.  The algebraic sets are the masks equal
+    to their closures; the lattice laws are array operations on their
+    pairwise unions and intersections.
     """
     if n_vars < 1:
         raise InvalidArgumentError("n_vars must be at least 1")
@@ -1031,6 +1040,8 @@ def enumerate_algebraic_sets(
         raise TooLargeError("algebraic-set enumeration supports n_vars in {1, 2}")
 
     cells = list(grid_points(algebra.size, n_vars))
+    if len(cells) <= GRID_CELL_LIMIT:
+        term_function_table(algebra, n_vars)  # cached for the queries below
     closure: list[int] = []
     for m in range(1 << len(cells)):
         if m and m & closure[m & (m - 1)] == m:  # inside the closure of m less its lowest cell

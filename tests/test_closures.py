@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omegagroups.catalog import cyclic_group, cyclic_ring, symmetric_group_3
+from omegagroups import closures
+from omegagroups.catalog import cyclic_group, cyclic_ring, matrix_ring_m2_f2, symmetric_group_3
 from omegagroups.closures import (
     commutator_group,
     commutator_group_is_trivial,
@@ -23,6 +26,9 @@ from omegagroups.errors import (
     NotContainedError,
     TooLargeError,
 )
+
+from test_batched_route import CATALOG, SMALL_PRODUCT_PAIRS
+from test_closure_oracle import sparse_algebras, ternary_algebra
 
 # S3 element indices (permutations of (0,1,2) in lexicographic order):
 # 0=id, 1=(12), 2=(01), 3=(012), 4=(021), 5=(02)
@@ -227,6 +233,81 @@ def test_ring_commutator_matches_product_span(small_algebras):
                         gens.add(algebra.group_commutator(x, y))
                 expected = ideal_closure(algebra, ambient, gens)
                 assert commutator_group(algebra, u1, u2) == expected
+
+
+SCAN = closures._commutator_generators
+
+
+def scanned_commutator_group(algebra, a_set, b_set):
+    """The ideal of the ambient generated by every generator of the full scan."""
+    ambient = omega_subgroup_closure(algebra, a_set | b_set)
+    gens = set()
+    for _, _, values in SCAN(algebra, a_set, b_set):
+        gens.update(values.tolist())
+    return ideal_closure(algebra, ambient, gens)
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """Calls commutator_group makes to the full generator scan."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return SCAN(*args, **kwargs)
+
+    monkeypatch.setattr(closures, "_commutator_generators", counted)
+    return calls
+
+
+def check_against_the_scan(algebra, subgroups):
+    for a_set in subgroups:
+        for b_set in subgroups:
+            expected = scanned_commutator_group(algebra, a_set, b_set)
+            assert commutator_group(algebra, a_set, b_set) == expected, (
+                algebra.name, sorted(a_set), sorted(b_set))
+
+
+def bilinear(algebra):
+    return closures._is_multiadditive(algebra) and all(op.ndim <= 2 for op in algebra.arrays.ops)
+
+
+def test_commutator_group_matches_the_scan_on_the_catalog(scans):
+    for algebra in CATALOG.values():
+        if algebra.size <= 8:
+            scans.clear()
+            check_against_the_scan(algebra, enumerate_omega_subgroups(algebra))
+            assert not scans if bilinear(algebra) else scans, algebra.name
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.sampled_from(SMALL_PRODUCT_PAIRS), st.data())
+def test_commutator_group_matches_the_scan_on_products(pair, data):
+    algebra, _, _ = direct_product(CATALOG[pair[0]], CATALOG[pair[1]])
+    seeds = data.draw(st.lists(st.sampled_from(range(algebra.size)), min_size=2, max_size=4))
+    subgroups = {frozenset({0}), frozenset(algebra.elements)}
+    subgroups |= {omega_subgroup_closure(algebra, {x}) for x in seeds}
+    check_against_the_scan(algebra, sorted(subgroups, key=sorted))
+
+
+def test_commutator_group_matches_the_scan_on_m2_f2_times_z2(scans):
+    algebra, _, _ = direct_product(matrix_ring_m2_f2(), cyclic_ring(2))
+    subgroups = {omega_subgroup_closure(algebra, {x}) for x in (0, 1, 6, 17, 31)}
+    subgroups |= {omega_subgroup_closure(algebra, {3, 20}), frozenset(algebra.elements)}
+    scans.clear()
+    check_against_the_scan(algebra, sorted(subgroups, key=sorted))
+    assert not scans
+
+
+def test_other_algebras_keep_the_full_scan(scans):
+    for algebra in [ternary_algebra(), *sparse_algebras(2, seed=7)]:
+        assert not bilinear(algebra)
+        subgroups = [frozenset({0}), frozenset(algebra.elements)]
+        subgroups += [omega_subgroup_closure(algebra, {x}) for x in (1, 2)]
+        scans.clear()
+        commutator_group(algebra, subgroups[-1], subgroups[-2])
+        assert scans == [algebra.name]
+        check_against_the_scan(algebra, subgroups)
 
 
 def test_subgroup_mask_predicates():

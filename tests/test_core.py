@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from omegagroups.catalog import (
@@ -180,3 +184,28 @@ def test_group_table_from_nonidentity_start_rejected():
             table.append(perm.index((perm[i] + perm[j]) % 3))
     with pytest.raises(NotAGroupError):
         as_group("relabeled", table)
+
+
+HASH_PROBE = (
+    "from omegagroups.catalog import heisenberg_lie_f2, symmetric_group_3;"
+    "print(hash(heisenberg_lie_f2()), hash(symmetric_group_3()))"
+)
+
+
+def test_algebra_hash_reads_the_integer_tables_once():
+    lie, s3 = heisenberg_lie_f2(), symmetric_group_3()
+    assert hash(lie) == hash(heisenberg_lie_f2()) and lie == heisenberg_lie_f2()
+    renamed = validate_algebra("other", s3.size, s3.add, kind="group")
+    assert hash(renamed) == hash(s3) and renamed != s3  # names take no part in the hash
+    assert hash(validate_algebra("z4", 4, Z4_ADD, [("mul", 2, Z4_MUL)])) != hash(cyclic_group(4))
+    assert lie._hash == hash(lie)  # kept after the first call
+    assert "_hash" not in repr(lie)
+    # The same value under any PYTHONHASHSEED: the strings are left out.
+    values = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        out = subprocess.run([sys.executable, "-c", HASH_PROBE], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        values.add(out)
+    assert values == {f"{hash(lie)} {hash(s3)}\n"}

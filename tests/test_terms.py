@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +251,61 @@ def test_terms_built_too_deep_are_refused_at_construction():
     assert eval_term(z4, deep, [3]) == 3
     # The depth takes no part in equality, hashing or repr.
     assert "depth" not in repr(Neg(Var(1))) and Neg(Var(1)) == Neg(Var(1))
+
+
+CHAINS = {
+    "Op": lambda t, i: Op("f" if i % 7 else "g", (t,)),
+    "Neg": lambda t, i: Neg(t),
+    "Add": lambda t, i: Add(Var(2), t) if i % 2 else Add(t, ZERO),
+}
+
+
+def chain(kind, depth, leaf=Var(1), swap_at=None):
+    """A depth-deep chain of one kind of node; at level swap_at an Op is put in its place."""
+    term = leaf
+    for i in range(depth):
+        term = Op("h", (term,)) if i == swap_at else CHAINS[kind](term, i)
+    return term
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+@pytest.mark.parametrize("depth", [terms._MAX_TERM_DEPTH, terms._MAX_NODE_DEPTH])
+def test_deep_terms_compare_and_hash_without_recursion(kind, depth):
+    term = chain(kind, depth)
+    assert term.depth == depth
+    assert term == chain(kind, depth) and hash(term) == hash(chain(kind, depth))
+    assert not term != chain(kind, depth)
+    assert term != chain(kind, depth, leaf=Var(3))
+    assert term != chain(kind, depth, leaf=ZERO)
+    assert term != chain(kind, depth, swap_at=depth // 2)
+    assert term != chain(kind, depth - 1) and chain(kind, depth - 1) != term
+    # hash(-1) == hash(-2) in CPython, so these two differ only past the hashes:
+    # equality walks both trees down to the leaves.
+    low, high = chain(kind, depth, leaf=Var(-1)), chain(kind, depth, leaf=Var(-2))
+    assert hash(low) == hash(high) and low != high and low == chain(kind, depth, leaf=Var(-1))
+    assert len({term, chain(kind, depth), low, high}) == 3
+
+
+PICKLE_PROBE = (
+    "import pickle, sys; from omegagroups.terms import parse_term;"
+    "sys.stdout.buffer.write(pickle.dumps([parse_term(t) for t in sys.argv[1:]]))"
+)
+
+
+def test_terms_pickled_under_other_hash_seeds_equal_their_parses():
+    """A term keeps a hash read from string hashes, which differ between
+    processes; an unpickled term is built again, so it hashes and compares
+    as a term parsed here."""
+    texts = ["f(g(x1,(- x2)),(x3 + 0))", "mul(" * 256 + "x1" + ",x2)" * 256]
+    expected = [parse_term(text) for text in texts]
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        out = subprocess.run([sys.executable, "-c", PICKLE_PROBE, *texts], env=env, check=True,
+                             capture_output=True).stdout
+        loaded = pickle.loads(out)
+        assert loaded == expected and list(map(hash, loaded)) == list(map(hash, expected))
+    assert pickle.loads(pickle.dumps(expected)) == expected
 
 
 def test_vars_of():

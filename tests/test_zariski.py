@@ -703,6 +703,26 @@ def test_equational_domain_examples():
     assert not z2g.verdict
 
 
+def test_a_one_off_equational_domain_check_builds_no_table(monkeypatch):
+    """Z3 with the unary u = [0, 1, 1]: its clone is large, and one query
+    over the 9-cell grid decides the verdict off the table."""
+    from omegagroups.domains import is_c_anticommutative
+
+    algebra = validate_algebra("Z3-u", 3, cyclic_group(3).add, [("u", 1, [0, 1, 1])])
+    cache = {}
+    monkeypatch.setattr(zariski, "_grid_cache", cache)
+    verdict = equational_domain_check(algebra)
+    assert cache == {}
+    assert verdict == zariski.WitnessedVerdict(True, "axis-union-closure")
+    assert verdict.verdict == is_c_anticommutative(algebra).verdict
+    for small in (entry.algebra for entry in build_catalog() if entry.algebra.size <= 4):
+        verdict = equational_domain_check(small)
+        assert cache == {}, small.name
+        term_function_table(small, 2)  # the table route, warm
+        assert equational_domain_check(small) == verdict, small.name
+        cache.clear()
+
+
 def test_algebraic_set_lattice_z3():
     report = enumerate_algebraic_sets(cyclic_ring(3), 1)
     sets = {frozenset(x for (x,) in s) for s in report.algebraic_sets}

@@ -3,7 +3,9 @@
 Every table query reads the per-cell bitsets kept beside the table in
 zariski._grid_cache.  Here they are checked against the two row filters of
 reference.closure_from_table, on tables of both builders and with row
-counts on and off 64-bit word boundaries.
+counts on and off 64-bit word boundaries.  A query under method "auto"
+reads a table only once it is cached: cold queries build none, and must
+answer as the table does.
 """
 
 import gc
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from omegagroups import zariski
-from omegagroups.catalog import cyclic_ring
+from omegagroups.catalog import build_catalog, cyclic_ring
 from omegagroups.terms import grid_points
 from omegagroups.zariski import (
     closure_excess_point,
@@ -105,7 +107,12 @@ def test_a_miss_stores_one_entry_and_no_table_outlives_it(monkeypatch):
 
 
 def test_every_table_query_calls_the_module_level_table(monkeypatch, algebras):
-    """A tracer wraps zariski.term_function_table to tell the table route."""
+    """A tracer wraps zariski.term_function_table to tell the table route.
+
+    A cold auto query builds no table and calls it zero times; a warm one
+    calls it once.  The lattice calls it once up front and once per mask
+    its candidate loop closes.
+    """
     calls, members = [], []
     table_fn, members_fn = zariski.term_function_table, zariski._closure_members
 
@@ -123,13 +130,60 @@ def test_every_table_query_calls_the_module_level_table(monkeypatch, algebras):
         algebra = algebras[name]
         cells = list(grid_points(algebra.size, n_vars))
         for pts in [set(), {cells[-1]}, set(cells[::2])]:
+            monkeypatch.setattr(zariski, "_grid_cache", {})
             calls.clear()
-            zariski_closure(algebra, n_vars, pts)
-            is_algebraic(algebra, n_vars, pts)
-            zariski_closure(algebra, n_vars, pts, method="grid")
+            cold = zariski_closure(algebra, n_vars, pts), is_algebraic(algebra, n_vars, pts)
+            assert calls == [] and zariski._grid_cache == {}
+            grid = zariski_closure(algebra, n_vars, pts, method="grid")
+            warm = zariski_closure(algebra, n_vars, pts), is_algebraic(algebra, n_vars, pts)
             assert calls == [(name, n_vars)] * 3
+            assert cold == warm and grid == cold[0]
     for name, n_vars in [("Z3-ring", 2), ("Z2-group", 2), ("S3", 1)]:
+        monkeypatch.setattr(zariski, "_grid_cache", {})
         calls.clear()
         members.clear()
         enumerate_algebraic_sets(algebras[name], n_vars)
-        assert members and len(calls) == len(members)  # one per mask the loop closes
+        assert members and len(calls) == len(members) + 1  # up front, then one per mask
+        assert list(zariski._grid_cache) == [(algebras[name], n_vars)]
+
+
+CATALOG_GRIDS = [
+    (entry.name, n_vars)
+    for entry in build_catalog()
+    for n_vars in (1, 2, 3, 4)
+    if entry.algebra.size**n_vars <= zariski.GRID_CELL_LIMIT
+]
+
+
+@pytest.mark.parametrize("name, n_vars", CATALOG_GRIDS)
+def test_a_cold_query_builds_no_table_and_matches_the_table(monkeypatch, algebras, name, n_vars):
+    """Every catalog grid of at most GRID_CELL_LIMIT cells, cold and then warm."""
+    algebra = algebras[name]
+    cells = list(grid_points(algebra.size, n_vars))
+    sets = list(point_sets(cells, f"cold {name}^{n_vars}"))
+
+    def answers():
+        return [
+            (zariski_closure(algebra, n_vars, pts), closure_excess_point(algebra, n_vars, pts),
+             is_algebraic(algebra, n_vars, pts))
+            for pts in sets
+        ]
+
+    monkeypatch.setattr(zariski, "_grid_cache", {})
+    cold = answers()
+    assert zariski._grid_cache == {}
+    if term_function_table(algebra, n_vars) is not None:  # past its cap the cold route stays
+        assert answers() == cold  # the table route
+
+
+def test_an_overflowed_table_stays_none_and_the_query_falls_through(monkeypatch, algebras):
+    """A table past its cap is cached as None; auto queries then take the candidate loop."""
+    algebra = algebras["Z3-ring"]
+    cells = list(grid_points(algebra.size, 2))
+    expected = [zariski_closure(algebra, 2, pts) for pts in point_sets(cells, "overflow")]
+    cache = {}
+    monkeypatch.setattr(zariski, "_grid_cache", cache)
+    monkeypatch.setattr(zariski, "GRID_ROW_CAP", 3)
+    assert term_function_table(algebra, 2) is None and cache == {(algebra, 2): None}
+    assert [zariski_closure(algebra, 2, pts) for pts in point_sets(cells, "overflow")] == expected
+    assert cache == {(algebra, 2): None}
